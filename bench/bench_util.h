@@ -92,11 +92,13 @@ inline double SlowTaskSeconds() {
 inline RunOutcome RunPlan(const Workflow& wf, const Table& table,
                           const ExecutionPlan& plan,
                           const ClusterConfig& cluster,
-                          ParallelEvalPhase phase = ParallelEvalPhase::kFull) {
+                          ParallelEvalPhase phase = ParallelEvalPhase::kFull,
+                          const LocalAggOptions& local_agg = {}) {
   ParallelEvalOptions eval;
   eval.num_mappers = cluster.num_mappers;
   eval.num_reducers = cluster.num_reducers;
   eval.phase = phase;
+  eval.local_agg = local_agg;
   if (InjectFaults()) {
     eval.fault_injector = [](MapReduceTaskPhase, int task, int attempt) {
       if (task == 0 && attempt == 1) {

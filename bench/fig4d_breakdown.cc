@@ -70,15 +70,24 @@ int main() {
   }
   std::printf(
       "# combined-sort optimization (§III-D) removes the in-reducer re-sort:\n");
+  // Both arms pin the sort/scan engine: the adaptive chooser would send the
+  // separate-sorts arm to a hash engine, which never sorts, and the column
+  // would no longer show the re-sort that combined sort removes.
+  LocalAggOptions sortscan;
+  sortscan.engine = LocalAggEngine::kSortScan;
   ExecutionPlan combined = plan;
   combined.combined_sort = true;
-  RunOutcome with = RunPlan(wf, table, combined, cluster);
-  RunOutcome without = RunPlan(wf, table, plan, cluster);
+  RunOutcome with =
+      RunPlan(wf, table, combined, cluster, ParallelEvalPhase::kFull, sortscan);
+  RunOutcome without =
+      RunPlan(wf, table, plan, cluster, ParallelEvalPhase::kFull, sortscan);
   std::printf("%-24s local_sort_s=%.3f wall=%.3f\n", "separate sorts",
               without.result.local_stats.sort_seconds,
               without.result.metrics.total_seconds);
   std::printf("%-24s local_sort_s=%.3f wall=%.3f\n", "combined sort",
               with.result.local_stats.sort_seconds,
               with.result.metrics.total_seconds);
+  CASM_CHECK(without.result.local_stats.sort_seconds > 0)
+      << "separate-sorts arm recorded no in-reducer sort time";
   return 0;
 }

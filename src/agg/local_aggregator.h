@@ -79,9 +79,11 @@ struct LocalAggOptions {
   /// Rows per columnar batch in the hash engines' batch-at-a-time paths
   /// (coordinate mapping and region hashing run vectorized over batch
   /// columns — see agg/batch.h). 0 picks BatchSizeFromEnv() (the
-  /// CASM_BATCH_SIZE knob); negative forces the legacy row-at-a-time path
-  /// (differential tests, before/after benchmarks). Results are identical
-  /// either way.
+  /// CASM_BATCH_SIZE knob); negative forces the engines' legacy
+  /// row-at-a-time path (differential tests, before/after benchmarks).
+  /// Results are identical either way. The evaluators' map tasks scan in
+  /// batches of this size too, resolving any value <= 0 to
+  /// BatchSizeFromEnv().
   int64_t batch_rows = 0;
   /// Blocks with fewer rows than this keep the row-at-a-time path even
   /// when batch_rows enables batching: the batch path's fixed setup (the

@@ -1,4 +1,8 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
+//
+// EvaluateParallel and EvaluateParallelShared are thin wrappers over one
+// evaluation pass (RunEvaluationPass): a solo run is its one-member case
+// and a shared batch its k-member case, so the two cannot diverge.
 
 #include "core/parallel_evaluator.h"
 
@@ -6,18 +10,20 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "agg/batch.h"
 #include "agg/combiner.h"
 #include "agg/local_aggregator.h"
 #include "common/logging.h"
 #include "common/math.h"
 #include "core/coverage.h"
 #include "core/keygen.h"
+#include "core/shared_evaluator.h"
 #include "data/record_batch.h"
 #include "local/derivation.h"
 #include "mr/engine.h"
@@ -35,9 +41,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Shared mutable state for result assembly across reducer tasks.
-struct ResultSink {
-  std::mutex mu;
+/// One member workflow of an evaluation pass: its local evaluation
+/// machinery and the result assembly its reducer blocks merge into.
+struct MemberRun {
+  const Workflow* wf = nullptr;
+  std::unique_ptr<SortScanEvaluator> local_eval;
+  std::unique_ptr<LocalAggregator> local_agg;
+
+  std::mutex mu;  // guards everything below across reducer tasks
   MeasureResultSet results;
   LocalEvalStats local_stats;
   Status first_error;
@@ -134,13 +145,326 @@ std::string DescribeOptions(const ParallelEvalOptions& options) {
   out += options.speculative_execution ? "true" : "false";
   out += ",\"checkpoint\":";
   out += options.checkpoint.enabled() ? "true" : "false";
-  out += ",\"columnar\":";
-  out += options.columnar ? "true" : "false";
   out += "}";
   return out;
 }
 
 namespace {
+
+/// Evaluates one early-aggregation block: merges the shuffled partial
+/// states per (measure, region), then derives the composite measures. A
+/// cancelled group returns early with a partial set the caller discards.
+MeasureResultSet MergePartials(const Workflow& wf, const GroupView& group,
+                               LocalEvalStats* stats) {
+  const int num_attrs = wf.schema()->num_attributes();
+  const auto eval_start = std::chrono::steady_clock::now();
+  std::vector<std::unordered_map<Coords, Accumulator, CoordsHash>> acc(
+      static_cast<size_t>(wf.num_measures()));
+  MeasureResultSet block_results(wf.num_measures());
+  double partial[Accumulator::kPartialSize];
+  for (int64_t i = 0; i < group.size(); ++i) {
+    if ((i & 4095) == 0 && group.cancelled()) return block_results;
+    const int64_t* v = group.value(i);
+    const int mi = static_cast<int>(v[0]);
+    Coords coords(v + 1, v + 1 + num_attrs);
+    for (int p = 0; p < Accumulator::kPartialSize; ++p) {
+      partial[p] = std::bit_cast<double>(v[1 + num_attrs + p]);
+    }
+    Accumulator incoming =
+        Accumulator::FromPartial(wf.measure(mi).fn, partial);
+    auto& map = acc[static_cast<size_t>(mi)];
+    auto it = map.find(coords);
+    if (it == map.end()) {
+      map.emplace(std::move(coords), std::move(incoming));
+    } else {
+      it->second.Merge(incoming);
+    }
+  }
+  for (int mi : wf.BasicMeasures()) {
+    MeasureValueMap& out_map = block_results.mutable_values(mi);
+    for (auto& [coords, accumulator] : acc[static_cast<size_t>(mi)]) {
+      out_map.emplace(coords, accumulator.Result());
+    }
+  }
+  for (int i = 0; i < wf.num_measures(); ++i) {
+    if (group.cancelled()) return block_results;
+    if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
+      DeriveCompositeMeasure(wf, i, &block_results);
+    }
+  }
+  // These are shuffled partial-state pairs, not raw input records —
+  // counting them as `records` would inflate the early-agg path's stats
+  // relative to raw redistribution.
+  stats->merged_partials += group.size();
+  stats->eval_seconds += SecondsSince(eval_start);
+  return block_results;
+}
+
+/// The map side's scan: reads rows [begin, end) as RecordBatches of
+/// `batch_rows` (<= 0: CASM_BATCH_SIZE or the default), maps every key
+/// attribute to its key level with one vectorized pass per column, and
+/// calls `on_batch(levels, first_row, n)` where `levels[a][i]` is row
+/// `first_row + i`'s attribute-a key-level coordinate. Returns false when
+/// the attempt was cancelled (deadline, lost speculation race); the engine
+/// discards a cancelled attempt's output, so stopping mid-split is safe.
+template <typename OnBatch>
+bool ScanKeyLevels(const Schema& schema, const Table& table,
+                   const std::vector<KeyGenAttr>& keygen, int64_t batch_rows,
+                   int64_t begin, int64_t end, const Emitter& emitter,
+                   OnBatch&& on_batch) {
+  const int num_attrs = schema.num_attributes();
+  TableScan scan = table.Scan(batch_rows, begin, end);
+  RecordBatch batch(table.row_width(), scan.batch_rows());
+  std::vector<std::vector<int64_t>> cols(
+      static_cast<size_t>(num_attrs),
+      std::vector<int64_t>(static_cast<size_t>(scan.batch_rows())));
+  std::vector<const int64_t*> levels(static_cast<size_t>(num_attrs));
+  for (int a = 0; a < num_attrs; ++a) {
+    levels[static_cast<size_t>(a)] = cols[static_cast<size_t>(a)].data();
+  }
+  while (scan.Next(&batch)) {
+    if (emitter.cancelled()) return false;
+    const int64_t n = batch.num_rows();
+    for (int a = 0; a < num_attrs; ++a) {
+      schema.attribute(a).MapFromFinestColumn(
+          batch.column(a), n, keygen[static_cast<size_t>(a)].level,
+          cols[static_cast<size_t>(a)].data());
+    }
+    on_batch(levels.data(), scan.position(), n);
+  }
+  return true;
+}
+
+/// Calls `fn(block_key, row)` for every block each of the `n` scanned
+/// records starting at table row `first_row` replicates to (ForEachBlock
+/// over its key-level coordinates `levels`).
+template <typename Fn>
+void ForEachRecordBlock(const Table& table,
+                        const std::vector<KeyGenAttr>& keygen,
+                        const int64_t* const* levels, int64_t first_row,
+                        int64_t n, Fn&& fn) {
+  const size_t num_attrs = keygen.size();
+  std::vector<int64_t> g(num_attrs);
+  std::vector<int64_t> key(num_attrs);
+  for (int64_t i = 0; i < n; ++i) {
+    for (size_t a = 0; a < num_attrs; ++a) g[a] = levels[a][i];
+    const int64_t* row = table.row(first_row + i);
+    ForEachBlock(keygen, g, &key, [&](const int64_t* k) { fn(k, row); });
+  }
+}
+
+/// The evaluation pass of paper §III over N >= 1 member workflows sharing
+/// one schema: redistribute the table's records to blocks by the plan's
+/// distribution key (a record of an annotated key replicates to every
+/// block whose coverage contains it), evaluate every member inside each
+/// block, keep only the regions the block owns, and union the blocks'
+/// results per member. Raw-record plans evaluate each block with the
+/// members' local aggregation engines; early-aggregation plans ship and
+/// merge mapper-side partial states. Early aggregation and combined sort
+/// need exactly one member: the combiner and the framework sort order are
+/// per workflow. Callers validate the plan; `progress` and `query_label`
+/// are their resolved observability settings. Engine failures come back
+/// as "parallel evaluation failed: <engine message>".
+Result<SharedEvalResult> RunEvaluationPass(
+    const std::vector<const Workflow*>& workflows, const Table& table,
+    const ExecutionPlan& plan, const ParallelEvalOptions& options,
+    ProgressTracker* progress, const std::string& query_label,
+    double* input_locality) {
+  CASM_CHECK(!workflows.empty());
+  CASM_CHECK(workflows.size() == 1 ||
+             (!plan.early_aggregation && !plan.combined_sort));
+  const Schema& schema = *workflows[0]->schema();
+  const int num_attrs = schema.num_attributes();
+  const std::vector<KeyGenAttr> keygen = BuildKeyGen(schema, plan);
+  TraceRecorder* const trace =
+      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+
+  // Group-by engine for per-block local evaluation (src/agg): adaptive by
+  // default, it dispatches each reducer block to sort/scan, morsel or
+  // radix aggregation. It shares its member's sort/scan plan, so RowLess
+  // (combined sort) and the engines can never disagree on order.
+  std::vector<MemberRun> members(workflows.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    MemberRun& m = members[i];
+    m.wf = workflows[i];
+    m.local_eval = std::make_unique<SortScanEvaluator>(m.wf);
+    m.local_agg =
+        MakeLocalAggregator(m.wf, m.local_eval.get(), options.local_agg);
+    m.results = MeasureResultSet(m.wf->num_measures());
+  }
+
+  MapReduceEngine engine(options.num_threads);
+  MapReduceSpec spec;
+  spec.num_mappers = options.num_mappers;
+  spec.num_reducers = options.num_reducers;
+  spec.key_width = num_attrs;
+  spec.map_only = options.phase == ParallelEvalPhase::kMapOnly;
+  spec.skip_reduce = options.phase == ParallelEvalPhase::kShuffleOnly;
+  ApplyEngineOptions(options, &spec);
+  // The caller's resolutions override what ApplyEngineOptions copied.
+  spec.progress = progress;
+  spec.query_label = query_label;
+
+  DistributedFile::Assignment dfs_assignment;
+  if (options.input_file != nullptr) {
+    const DistributedFile& file = *options.input_file;
+    dfs_assignment = file.AssignSplits(options.num_mappers);
+    *input_locality = dfs_assignment.LocalityFraction();
+    spec.split_fn = [&file, &dfs_assignment](int mapper) {
+      std::vector<std::pair<int64_t, int64_t>> ranges;
+      for (int b : dfs_assignment.mapper_blocks[static_cast<size_t>(mapper)]) {
+        ranges.emplace_back(file.block(b).begin_row, file.block(b).end_row);
+      }
+      return ranges;
+    };
+  }
+
+  // Referenced by the map lambdas below: must outlive engine.Run().
+  const int64_t batch_rows = options.local_agg.batch_rows;
+  bool any_annotated = false;
+  for (const KeyGenAttr& kg : keygen) any_annotated |= kg.annotated;
+  if (!plan.early_aggregation) {
+    // ---- Raw-record redistribution. With no region-inclusion annotation
+    // every record belongs to exactly one block, so whole batches ship
+    // through the emitter's columnar path, values taken straight from the
+    // contiguous row-major table slice.
+    spec.value_width = table.row_width();
+    spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
+      ScanKeyLevels(
+          schema, table, keygen, batch_rows, begin, end, *emitter,
+          [&](const int64_t* const* levels, int64_t first_row, int64_t n) {
+            if (!any_annotated) {
+              emitter->EmitBatch(levels, table.row(first_row), n);
+              return;
+            }
+            ForEachRecordBlock(
+                table, keygen, levels, first_row, n,
+                [&](const int64_t* k, const int64_t* row) {
+                  emitter->Emit(k, row);
+                });
+          });
+    };
+    if (plan.combined_sort) {
+      const SortScanEvaluator* order = members[0].local_eval.get();
+      spec.value_less = [order](const int64_t* a, const int64_t* b) {
+        return order->RowLess(a, b);
+      };
+    }
+  } else {
+    // ---- Early aggregation (§III-D): mappers pre-aggregate the basic
+    // measures per (block, measure, region) in a per-split adaptive
+    // combiner (agg/combiner.h) and ship mergeable partial states instead
+    // of raw records. The combiner takes records one at a time because its
+    // bounded table, flush timing and bypass decision are order-sensitive.
+    spec.value_width = 1 + num_attrs + Accumulator::kPartialSize;
+    spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
+      EarlyAggCombiner combiner(members[0].wf, options.local_agg, trace);
+      const bool finished = ScanKeyLevels(
+          schema, table, keygen, batch_rows, begin, end, *emitter,
+          [&](const int64_t* const* levels, int64_t first_row, int64_t n) {
+            ForEachRecordBlock(
+                table, keygen, levels, first_row, n,
+                [&](const int64_t* k, const int64_t* row) {
+                  combiner.AddRecord(k, row, emitter);
+                });
+          });
+      if (finished) combiner.Flush(emitter);
+    };
+  }
+
+  const LocalEvalPhase local_phase =
+      options.phase == ParallelEvalPhase::kLocalSortOnly
+          ? LocalEvalPhase::kSortOnly
+          : LocalEvalPhase::kFull;
+  spec.reduce_fn = [&](int reducer, const GroupView& group) {
+    // Every member reads the block's one row buffer in shuffle order: the
+    // local engines take it as const, so no member sees another's work and
+    // each computes exactly what a solo run of it would.
+    std::vector<int64_t> rows;
+    if (!plan.early_aggregation) rows = group.CopyValues();
+    for (MemberRun& m : members) {
+      LocalEvalStats stats;
+      MeasureResultSet block_results;
+      if (plan.early_aggregation) {
+        if (options.phase == ParallelEvalPhase::kFull) {
+          block_results = MergePartials(*m.wf, group, &stats);
+        }
+      } else {
+        LocalAggContext ctx;
+        ctx.rows = rows.data();
+        ctx.n = group.size();
+        ctx.assume_sorted = plan.combined_sort;
+        ctx.phase = local_phase;
+        ctx.cancel = group.cancellation_token();
+        ctx.trace = trace;
+        ctx.task = reducer;
+        ctx.expected_groups_hint = plan.predicted_block_groups;
+        block_results = m.local_agg->Evaluate(ctx, &stats);
+      }
+      // A cancelled attempt's partial results must never reach the sink;
+      // the surrounding run is failing with Cancelled/DeadlineExceeded.
+      if (group.cancelled()) return;
+      if (options.phase != ParallelEvalPhase::kFull) {
+        m.Merge(MeasureResultSet(m.wf->num_measures()), stats, 0);
+        continue;
+      }
+      int64_t filtered = 0;
+      MeasureResultSet kept = FilterOwned(*m.wf, keygen, group.key(),
+                                          std::move(block_results), &filtered);
+      m.Merge(std::move(kept), stats, filtered);
+    }
+  };
+
+  const bool tracing = trace->enabled();
+  const double eval_start = tracing ? trace->NowSeconds() : 0;
+  Result<MapReduceMetrics> run = engine.Run(spec, table.num_rows());
+  if (tracing) {
+    trace->RecordSpan("eval", "evaluate-parallel", eval_start,
+                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
+                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
+                      "members=" + std::to_string(members.size()) +
+                          " key=" + plan.key.ToString(schema));
+  }
+  if (!run.ok()) {
+    // The engine message already names the failing phase and task id.
+    return Status(run.status().code(),
+                  "parallel evaluation failed: " + run.status().message());
+  }
+  SharedEvalResult out;
+  out.metrics = std::move(run).value();
+  out.queries.resize(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    MemberRun& m = members[i];
+    if (!m.first_error.ok()) return m.first_error;
+    SharedQueryResult& q = out.queries[i];
+    q.results = std::move(m.results);
+    q.local_stats = m.local_stats;
+    q.blocks_evaluated = m.blocks;
+    q.results_filtered = m.filtered;
+  }
+  return out;
+}
+
+/// Plan checks every member of an evaluation must pass: a feasible key, a
+/// clustering factor >= 1, and distributive/algebraic basic measures
+/// under early aggregation.
+Status CheckPlan(const Workflow& wf, const ExecutionPlan& plan) {
+  CASM_RETURN_IF_ERROR(CheckFeasible(wf, plan.key));
+  if (plan.clustering_factor < 1) {
+    return Status::InvalidArgument("clustering factor must be >= 1");
+  }
+  if (plan.early_aggregation) {
+    for (int i : wf.BasicMeasures()) {
+      if (ClassOf(wf.measure(i).fn) == AggregateClass::kHolistic) {
+        return Status::InvalidArgument(
+            "early aggregation requires distributive/algebraic basic "
+            "measures; '" +
+            wf.measure(i).name + "' is holistic");
+      }
+    }
+  }
+  return Status::OK();
+}
 
 /// The query label observability consumers stamp on their output: the
 /// caller's label, or "q<fingerprint>" derived on demand. Computed only
@@ -162,21 +486,7 @@ std::string ResolveQueryLabel(const ParallelEvalOptions& options,
 Result<ParallelEvalResult> EvaluateParallel(
     const Workflow& wf, const Table& table, const ExecutionPlan& plan,
     const ParallelEvalOptions& options) {
-  const Schema& schema = *wf.schema();
-  CASM_RETURN_IF_ERROR(CheckFeasible(wf, plan.key));
-  if (plan.clustering_factor < 1) {
-    return Status::InvalidArgument("clustering factor must be >= 1");
-  }
-  if (plan.early_aggregation) {
-    for (int i : wf.BasicMeasures()) {
-      if (ClassOf(wf.measure(i).fn) == AggregateClass::kHolistic) {
-        return Status::InvalidArgument(
-            "early aggregation requires distributive/algebraic basic "
-            "measures; '" +
-            wf.measure(i).name + "' is holistic");
-      }
-    }
-  }
+  CASM_RETURN_IF_ERROR(CheckPlan(wf, plan));
 
   // ---- Live observability resolution (see ParallelEvalOptions): the
   // flight recorder, the diagnostic-bundle directory, the progress
@@ -280,303 +590,19 @@ Result<ParallelEvalResult> EvaluateParallel(
     }
   }
 
-  const int num_attrs = schema.num_attributes();
-  const std::vector<KeyGenAttr> keygen = BuildKeyGen(schema, plan);
-  const SortScanEvaluator local_eval(&wf);
-  // Group-by engine for per-block local evaluation (src/agg): adaptive by
-  // default, it dispatches each reducer block to sort/scan, morsel or
-  // radix aggregation. Shares the sort/scan plan with `local_eval` so
-  // RowLess (combined sort) and the engines can never disagree on order.
-  const std::unique_ptr<LocalAggregator> local_agg =
-      MakeLocalAggregator(&wf, &local_eval, options.local_agg);
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
-  // Referenced by the map/reduce lambdas below: must outlive engine.Run().
-  const int early_agg_value_width = 1 + num_attrs + Accumulator::kPartialSize;
-
   ParallelEvalResult out;
-  ResultSink sink;
-  sink.results = MeasureResultSet(wf.num_measures());
-
-  MapReduceEngine engine(options.num_threads);
-  MapReduceSpec spec;
-  spec.num_mappers = options.num_mappers;
-  spec.num_reducers = options.num_reducers;
-  spec.key_width = num_attrs;
-  spec.map_only = options.phase == ParallelEvalPhase::kMapOnly;
-  spec.skip_reduce = options.phase == ParallelEvalPhase::kShuffleOnly;
-  ApplyEngineOptions(options, &spec);
-  // The run-local resolutions override what ApplyEngineOptions copied.
-  spec.progress = progress;
-  spec.query_label = query_label;
-
-  DistributedFile::Assignment dfs_assignment;
-  if (options.input_file != nullptr) {
-    const DistributedFile& file = *options.input_file;
-    dfs_assignment = file.AssignSplits(options.num_mappers);
-    out.input_locality = dfs_assignment.LocalityFraction();
-    spec.split_fn = [&file, &dfs_assignment](int mapper) {
-      std::vector<std::pair<int64_t, int64_t>> ranges;
-      for (int b : dfs_assignment.mapper_blocks[static_cast<size_t>(mapper)]) {
-        ranges.emplace_back(file.block(b).begin_row, file.block(b).end_row);
-      }
-      return ranges;
-    };
-  }
-
-  // Map-side batch size: > 0 routes the map loops below through columnar
-  // RecordBatch slices of the split with one vectorized key-level mapping
-  // pass per attribute; 0 keeps the row-at-a-time loops. Both paths emit
-  // bit-identical shuffle output (keygen.h / mr/engine.h contracts).
-  const int64_t map_batch_rows =
-      options.columnar
-          ? agg_internal::ResolveBatchRows(options.local_agg.batch_rows)
-          : 0;
-  // With no region-inclusion annotation every record belongs to exactly
-  // one block (ForEachBlock degenerates to first == last == g), so whole
-  // batches can be emitted in one columnar call.
-  bool any_annotated = false;
-  for (const KeyGenAttr& kg : keygen) any_annotated |= kg.annotated;
-
-  if (!plan.early_aggregation) {
-    // ---- Raw-record redistribution.
-    spec.value_width = table.row_width();
-    spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
-      std::vector<int64_t> g(static_cast<size_t>(num_attrs));
-      std::vector<int64_t> key(static_cast<size_t>(num_attrs));
-      if (map_batch_rows > 0) {
-        RecordBatch batch(table.row_width(), map_batch_rows);
-        std::vector<std::vector<int64_t>> g_cols(
-            static_cast<size_t>(num_attrs));
-        std::vector<const int64_t*> g_ptrs(static_cast<size_t>(num_attrs));
-        for (int a = 0; a < num_attrs; ++a) {
-          g_cols[static_cast<size_t>(a)].resize(
-              static_cast<size_t>(map_batch_rows));
-          g_ptrs[static_cast<size_t>(a)] =
-              g_cols[static_cast<size_t>(a)].data();
-        }
-        TableScan scan = table.Scan(map_batch_rows, begin, end);
-        int64_t rb = begin;
-        while (scan.Next(&batch)) {
-          // Cooperative cancellation (deadline, lost speculation race):
-          // the engine discards a cancelled attempt's output, so
-          // returning with a partially-emitted split is safe.
-          if (emitter->cancelled()) return;
-          const int64_t bn = batch.num_rows();
-          for (int a = 0; a < num_attrs; ++a) {
-            schema.attribute(a).MapFromFinestColumn(
-                batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
-                g_cols[static_cast<size_t>(a)].data());
-          }
-          if (!any_annotated) {
-            // One block per record: the whole batch ships through the
-            // emitter's columnar path, values taken straight from the
-            // contiguous row-major table slice.
-            emitter->EmitBatch(g_ptrs.data(), table.row(rb), bn);
-          } else {
-            for (int64_t i = 0; i < bn; ++i) {
-              for (int a = 0; a < num_attrs; ++a) {
-                g[static_cast<size_t>(a)] =
-                    g_cols[static_cast<size_t>(a)][static_cast<size_t>(i)];
-              }
-              const int64_t* row = table.row(rb + i);
-              ForEachBlock(keygen, g, &key,
-                           [&](const int64_t* k) { emitter->Emit(k, row); });
-            }
-          }
-          rb += bn;
-        }
-        return;
-      }
-      for (int64_t r = begin; r < end; ++r) {
-        // Cooperative cancellation (deadline, lost speculation race): the
-        // engine discards a cancelled attempt's output, so returning with
-        // a partially-emitted split is safe.
-        if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
-        const int64_t* row = table.row(r);
-        for (int a = 0; a < num_attrs; ++a) {
-          g[static_cast<size_t>(a)] = schema.attribute(a).MapFromFinest(
-              row[a], keygen[static_cast<size_t>(a)].level);
-        }
-        ForEachBlock(keygen, g, &key,
-                     [&](const int64_t* k) { emitter->Emit(k, row); });
-      }
-    };
-    if (plan.combined_sort) {
-      spec.value_less = [&local_eval](const int64_t* a, const int64_t* b) {
-        return local_eval.RowLess(a, b);
-      };
-    }
-    spec.reduce_fn = [&](int reducer, const GroupView& group) {
-      std::vector<int64_t> rows = group.CopyValues();
-      LocalEvalStats stats;
-      LocalAggContext ctx;
-      ctx.rows = rows.data();
-      ctx.n = group.size();
-      ctx.assume_sorted = plan.combined_sort;
-      ctx.phase = options.phase == ParallelEvalPhase::kLocalSortOnly
-                      ? LocalEvalPhase::kSortOnly
-                      : LocalEvalPhase::kFull;
-      ctx.cancel = group.cancellation_token();
-      ctx.trace = trace;
-      ctx.task = reducer;
-      ctx.expected_groups_hint = plan.predicted_block_groups;
-      MeasureResultSet block_results = local_agg->Evaluate(ctx, &stats);
-      // A cancelled attempt's partial results must never reach the sink;
-      // the surrounding run is failing with Cancelled/DeadlineExceeded.
-      if (group.cancelled()) return;
-      if (options.phase != ParallelEvalPhase::kFull) {
-        sink.Merge(MeasureResultSet(wf.num_measures()), stats, 0);
-        return;
-      }
-      int64_t filtered = 0;
-      MeasureResultSet kept = FilterOwned(wf, keygen, group.key(),
-                                          std::move(block_results), &filtered);
-      sink.Merge(std::move(kept), stats, filtered);
-    };
-  } else {
-    // ---- Early aggregation (§III-D): mappers pre-aggregate the basic
-    // measures per (block, measure, region) and ship mergeable partial
-    // states instead of raw records.
-    spec.value_width = early_agg_value_width;
-
-    spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
-      // Per-split adaptive combiner (agg/combiner.h): a bounded table of
-      // (block, measure, region) -> partial state, flushed to the shuffle
-      // when full and bypassed outright when the split's groups turn out
-      // near-unique.
-      EarlyAggCombiner combiner(&wf, options.local_agg, trace);
-      std::vector<int64_t> g(static_cast<size_t>(num_attrs));
-      std::vector<int64_t> key(static_cast<size_t>(num_attrs));
-      if (map_batch_rows > 0) {
-        // Columnar key-level mapping; the combiner itself stays per
-        // record because its bounded table, flush timing and bypass
-        // decision are order-sensitive, and batching must not change
-        // what the row path would ship.
-        RecordBatch batch(table.row_width(), map_batch_rows);
-        std::vector<std::vector<int64_t>> g_cols(
-            static_cast<size_t>(num_attrs));
-        for (int a = 0; a < num_attrs; ++a) {
-          g_cols[static_cast<size_t>(a)].resize(
-              static_cast<size_t>(map_batch_rows));
-        }
-        TableScan scan = table.Scan(map_batch_rows, begin, end);
-        int64_t rb = begin;
-        while (scan.Next(&batch)) {
-          if (emitter->cancelled()) return;
-          const int64_t bn = batch.num_rows();
-          for (int a = 0; a < num_attrs; ++a) {
-            schema.attribute(a).MapFromFinestColumn(
-                batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
-                g_cols[static_cast<size_t>(a)].data());
-          }
-          for (int64_t i = 0; i < bn; ++i) {
-            for (int a = 0; a < num_attrs; ++a) {
-              g[static_cast<size_t>(a)] =
-                  g_cols[static_cast<size_t>(a)][static_cast<size_t>(i)];
-            }
-            const int64_t* row = table.row(rb + i);
-            ForEachBlock(keygen, g, &key, [&](const int64_t* k) {
-              combiner.AddRecord(k, row, emitter);
-            });
-          }
-          rb += bn;
-        }
-        combiner.Flush(emitter);
-        return;
-      }
-      for (int64_t r = begin; r < end; ++r) {
-        if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
-        const int64_t* row = table.row(r);
-        for (int a = 0; a < num_attrs; ++a) {
-          g[static_cast<size_t>(a)] = schema.attribute(a).MapFromFinest(
-              row[a], keygen[static_cast<size_t>(a)].level);
-        }
-        ForEachBlock(keygen, g, &key, [&](const int64_t* k) {
-          combiner.AddRecord(k, row, emitter);
-        });
-      }
-      combiner.Flush(emitter);
-    };
-    spec.reduce_fn = [&](int reducer, const GroupView& group) {
-      LocalEvalStats stats;
-      if (options.phase != ParallelEvalPhase::kFull) {
-        sink.Merge(MeasureResultSet(wf.num_measures()), stats, 0);
-        return;
-      }
-      auto eval_start = std::chrono::steady_clock::now();
-      // Merge partial states per (measure, region).
-      std::vector<std::unordered_map<Coords, Accumulator, CoordsHash>> acc(
-          static_cast<size_t>(wf.num_measures()));
-      double partial[Accumulator::kPartialSize];
-      for (int64_t i = 0; i < group.size(); ++i) {
-        if ((i & 4095) == 0 && group.cancelled()) return;
-        const int64_t* v = group.value(i);
-        const int mi = static_cast<int>(v[0]);
-        Coords coords(v + 1, v + 1 + num_attrs);
-        for (int p = 0; p < Accumulator::kPartialSize; ++p) {
-          partial[p] = std::bit_cast<double>(v[1 + num_attrs + p]);
-        }
-        Accumulator incoming =
-            Accumulator::FromPartial(wf.measure(mi).fn, partial);
-        auto& map = acc[static_cast<size_t>(mi)];
-        auto it = map.find(coords);
-        if (it == map.end()) {
-          map.emplace(std::move(coords), std::move(incoming));
-        } else {
-          it->second.Merge(incoming);
-        }
-      }
-      MeasureResultSet block_results(wf.num_measures());
-      for (int mi : wf.BasicMeasures()) {
-        MeasureValueMap& out_map = block_results.mutable_values(mi);
-        for (auto& [coords, accumulator] : acc[static_cast<size_t>(mi)]) {
-          out_map.emplace(coords, accumulator.Result());
-        }
-      }
-      for (int i = 0; i < wf.num_measures(); ++i) {
-        if (group.cancelled()) return;
-        if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
-          DeriveCompositeMeasure(wf, i, &block_results);
-        }
-      }
-      // These are shuffled partial-state pairs, not raw input records —
-      // counting them as `records` would inflate the early-agg path's
-      // stats relative to raw redistribution.
-      stats.merged_partials += group.size();
-      stats.eval_seconds += SecondsSince(eval_start);
-      int64_t filtered = 0;
-      MeasureResultSet kept = FilterOwned(wf, keygen, group.key(),
-                                          std::move(block_results), &filtered);
-      sink.Merge(std::move(kept), stats, filtered);
-    };
-  }
-
-  const bool tracing = trace->enabled();
-  const double eval_start = tracing ? trace->NowSeconds() : 0;
-  Result<MapReduceMetrics> run = engine.Run(spec, table.num_rows());
-  if (tracing) {
-    trace->RecordSpan("eval", "evaluate-parallel", eval_start,
-                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "key=" + plan.key.ToString(schema));
-  }
+  Result<SharedEvalResult> run = RunEvaluationPass(
+      {&wf}, table, plan, options, progress, query_label, &out.input_locality);
   if (!run.ok()) {
-    // The engine message already names the failing phase and task id.
-    Status failed(run.status().code(),
-                  "parallel evaluation failed: " + run.status().message());
-    diagnose(failed);
-    return failed;
+    diagnose(run.status());
+    return run.status();
   }
-  out.metrics = std::move(run).value();
-  if (!sink.first_error.ok()) {
-    diagnose(sink.first_error);
-    return sink.first_error;
-  }
-  out.results = std::move(sink.results);
-  out.local_stats = sink.local_stats;
-  out.blocks_evaluated = sink.blocks;
-  out.results_filtered = sink.filtered;
+  out.metrics = std::move(run->metrics);
+  SharedQueryResult& solo = run->queries[0];
+  out.results = std::move(solo.results);
+  out.local_stats = solo.local_stats;
+  out.blocks_evaluated = solo.blocks_evaluated;
+  out.results_filtered = solo.results_filtered;
   if (ckpt.has_value()) {
     const bool ckpt_tracing = ckpt_trace->enabled();
     const double write_start = ckpt_tracing ? ckpt_trace->NowSeconds() : 0;
@@ -605,6 +631,73 @@ Result<ParallelEvalResult> EvaluateParallel(
   out.metrics.checkpoint_restore_failures = ckpt_restore_failures;
   apply_dfs_stats(&out.metrics);
   PublishQueryMetrics(MetricsRegistry::Global(), query_label, out.metrics);
+  return out;
+}
+
+Result<SharedEvalResult> EvaluateParallelShared(
+    const std::vector<SharedQuery>& queries, const Table& table,
+    const ExecutionPlan& plan, const ParallelEvalOptions& options) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("shared evaluation needs >= 1 query");
+  }
+  std::vector<const Workflow*> workflows;
+  for (const SharedQuery& q : queries) {
+    if (q.workflow == nullptr) {
+      return Status::InvalidArgument("shared evaluation: null workflow");
+    }
+    if (q.workflow->schema() != queries[0].workflow->schema()) {
+      return Status::InvalidArgument(
+          "shared evaluation: members must share one schema instance");
+    }
+    workflows.push_back(q.workflow);
+  }
+  if (plan.early_aggregation) {
+    return Status::InvalidArgument(
+        "shared evaluation requires raw-record redistribution "
+        "(plan.early_aggregation must be false)");
+  }
+  if (plan.combined_sort) {
+    return Status::InvalidArgument(
+        "shared evaluation cannot use a combined framework sort "
+        "(the sort order is member-specific)");
+  }
+  if (options.phase != ParallelEvalPhase::kFull) {
+    return Status::InvalidArgument("shared evaluation runs kFull only");
+  }
+  if (options.checkpoint.enabled()) {
+    return Status::InvalidArgument(
+        "shared evaluation does not checkpoint; evaluate solo instead");
+  }
+  for (const Workflow* wf : workflows) {
+    CASM_RETURN_IF_ERROR(CheckPlan(*wf, plan));
+  }
+
+  double input_locality = 1.0;
+  CASM_ASSIGN_OR_RETURN(
+      SharedEvalResult out,
+      RunEvaluationPass(workflows, table, plan, options, options.progress,
+                        options.query_label, &input_locality));
+  std::vector<SharedQueryAttribution> attributions;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].label.empty()) continue;
+    const SharedQueryResult& q = out.queries[i];
+    SharedQueryAttribution attr;
+    attr.query = queries[i].label;
+    attr.local_records = q.local_stats.records;
+    attr.local_eval_seconds =
+        q.local_stats.sort_seconds + q.local_stats.eval_seconds;
+    attr.result_values = q.results.TotalResults();
+    attr.results_filtered = q.results_filtered;
+    attributions.push_back(std::move(attr));
+  }
+  // The shared job's scan/shuffle counters publish once under the batch
+  // label; members get exactly their own reduce-side work.
+  if (!options.query_label.empty()) {
+    PublishQueryMetrics(MetricsRegistry::Global(), options.query_label,
+                        out.metrics);
+  }
+  PublishSharedQueryMetrics(MetricsRegistry::Global(), attributions,
+                            static_cast<int>(queries.size()));
   return out;
 }
 

@@ -146,15 +146,6 @@ struct ParallelEvalOptions {
   /// bounds and bypasses early aggregation. The engine defaults to the
   /// adaptive chooser (or the CASM_LOCAL_AGG environment override).
   LocalAggOptions local_agg;
-
-  /// Columnar map path: map tasks scan their split as RecordBatches
-  /// (data/record_batch.h), map key attributes to their key levels with
-  /// one vectorized pass per column, and emit whole batches when the
-  /// plan's key carries no region-inclusion annotation. The batch size is
-  /// local_agg.batch_rows (0 = CASM_BATCH_SIZE / default). Row and batch
-  /// paths emit bit-identical shuffle output; disabling this (or setting
-  /// local_agg.batch_rows < 0) keeps the row-at-a-time map loop.
-  bool columnar = true;
 };
 
 /// Copies the robustness knobs of `options` (retry budget, injectors,

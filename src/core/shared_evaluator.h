@@ -7,16 +7,17 @@
 // evaluates every member workflow against each block's rows and fans the
 // results back out per query.
 //
-// Determinism contract: for a plan with `early_aggregation == false` and
-// `combined_sort == false`, the shared map phase emits exactly the pairs
-// (content and order) a solo EvaluateParallel run of any member would
-// emit under the same plan and mapper count, so every reducer block sees
-// the same row vector. Each member's local evaluation then runs the same
-// serial sort/scan-or-hash machinery a solo run would, making per-query
-// results BIT-IDENTICAL to `EvaluateParallel(member, table, plan, ...)`
-// — tolerance 0.0, asserted by tests/svc_test.cc and fig_service's
-// self-check. Comparing against a *different* plan is out of contract:
-// float aggregation order follows block structure.
+// Determinism contract: a shared run and a solo EvaluateParallel run are
+// the same code — the one evaluation pass in parallel_evaluator.cc, with k
+// members or one. For a plan with `early_aggregation == false` and
+// `combined_sort == false` the map side is member-independent, so every
+// reducer block sees the same row vector as in a solo run of any member
+// under the same plan and mapper count; each member then evaluates the
+// block's rows read-only, in shuffle order. Per-query results are
+// therefore BIT-IDENTICAL to `EvaluateParallel(member, table, plan, ...)`
+// — tolerance 0.0, asserted by tests/parallel_eval_test.cc, tests/svc_test.cc
+// and fig_service's self-check. Comparing against a *different* plan is
+// out of contract: float aggregation order follows block structure.
 //
 // A plan is acceptable here iff it is feasible for every member, which
 // ConcatWorkflows + the optimizer guarantee by construction: feasibility

@@ -390,7 +390,6 @@ ParallelEvalOptions QueryService::BaseEvalOptions() const {
     eval.num_threads = std::max(1, hw / std::max(1, options_.num_workers));
   }
   eval.local_agg = options_.local_agg;
-  eval.columnar = options_.columnar;
   eval.fault_plan = options_.fault_plan;
   eval.trace = options_.trace;
   return eval;

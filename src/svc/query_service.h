@@ -152,7 +152,6 @@ struct QueryServiceOptions {
   /// by num_workers (so a loaded service does not oversubscribe).
   int num_threads = 0;
   LocalAggOptions local_agg;
-  bool columnar = true;
 
   /// Shared plan memory across workers; null = service-owned cache.
   PlanCache* plan_cache = nullptr;

@@ -3,9 +3,11 @@
 // Columnar batch tests: RecordBatch/TableScan mechanics, the vectorized
 // kernels' bit-identity to their row-at-a-time counterparts
 // (MapFromFinestColumn, PartitionHashColumns, FinestRegionHashColumns),
-// and differential runs of every aggregation engine and the full MR
-// pipeline across batch-size boundaries {1, 7, 4096, n+1} — including the
-// map-side spill path — against the row-path reference with tolerance 0.
+// differential runs of every aggregation engine against its row path, and
+// the full MR pipeline across batch-size boundaries {1, 7, 4096, n+1} —
+// including the map-side spill path — against the one-row-batch anchor
+// with tolerance 0 (the anchor itself checked against the reference
+// evaluator).
 
 #include <cstdlib>
 #include <vector>
@@ -320,39 +322,45 @@ TEST(BatchDifferentialTest, StatsCountBatches) {
 
 // ------------------------------------------------- MR pipeline (kernel)
 
-ParallelEvalOptions PipelineOpts(int64_t batch_rows, bool columnar,
-                                 int64_t spill_threshold) {
+ParallelEvalOptions PipelineOpts(int64_t batch_rows, int64_t spill_threshold) {
   ParallelEvalOptions o;
   o.num_mappers = 3;
   o.num_reducers = 4;
   o.num_threads = 2;
-  o.columnar = columnar;
   o.local_agg.batch_rows = batch_rows;
   o.local_agg.batch_min_block_rows = 0;
   o.emitter_spill_threshold_bytes = spill_threshold;
   return o;
 }
 
+/// Runs `plan` with one-row batches — the anchor every other batch size
+/// must reproduce bit for bit — and checks the anchor against the
+/// reference evaluator.
+MeasureResultSet OneRowAnchor(const Workflow& wf, const Table& table,
+                              const ExecutionPlan& plan) {
+  Result<ParallelEvalResult> anchor =
+      EvaluateParallel(wf, table, plan, PipelineOpts(1, 0));
+  EXPECT_TRUE(anchor.ok()) << anchor.status().ToString();
+  if (!anchor.ok()) return MeasureResultSet(wf.num_measures());
+  const Status vs_ref =
+      CompareResultSets(EvaluateReference(wf, table), anchor->results, kTol);
+  EXPECT_TRUE(vs_ref.ok()) << vs_ref.ToString();
+  return std::move(anchor).value().results;
+}
+
 TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
-  SchemaPtr schema = PaperSchema();
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);
   Table table = PaperUniformTable(3000, 53);
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
-  MeasureResultSet expected = EvaluateReference(wf, table);
-
-  Result<ParallelEvalResult> row_path =
-      EvaluateParallel(wf, table, plan, PipelineOpts(-1, false, 0));
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
-  Status vs_ref = CompareResultSets(expected, row_path->results, kTol);
-  ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
+  const MeasureResultSet anchor = OneRowAnchor(wf, table, plan);
 
   for (int64_t batch_rows : kBatchSizes) {
     // The spill threshold ladder covers: no spill, and a threshold tight
     // enough that every mapper spills multiple column-block runs.
     for (int64_t spill : {int64_t{0}, int64_t{1} << 12}) {
-      Result<ParallelEvalResult> batched = EvaluateParallel(
-          wf, table, plan, PipelineOpts(batch_rows, true, spill));
+      Result<ParallelEvalResult> batched =
+          EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, spill));
       ASSERT_TRUE(batched.ok())
           << "batch_rows=" << batch_rows << " spill=" << spill << ": "
           << batched.status().ToString();
@@ -360,8 +368,7 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
         EXPECT_GT(batched->metrics.emitter_spilled_runs, 0)
             << "spill threshold did not trigger; tighten the test";
       }
-      Status match =
-          CompareResultSets(row_path->results, batched->results, 0.0);
+      Status match = CompareResultSets(anchor, batched->results, 0.0);
       EXPECT_TRUE(match.ok())
           << "batch_rows=" << batch_rows << " spill=" << spill << ": "
           << match.ToString();
@@ -369,43 +376,37 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
   }
 }
 
-TEST(BatchDifferentialTest, EarlyAggregationPipelineMatchesRowPath) {
-  SchemaPtr schema = PaperSchema();
+TEST(BatchDifferentialTest, EarlyAggregationPipelineMatchesOneRowAnchor) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ1);
   Table table = PaperUniformTable(2000, 67);
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
   plan.early_aggregation = true;
-  Result<ParallelEvalResult> row_path =
-      EvaluateParallel(wf, table, plan, PipelineOpts(-1, false, 0));
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
+  const MeasureResultSet anchor = OneRowAnchor(wf, table, plan);
   for (int64_t batch_rows : kBatchSizes) {
     Result<ParallelEvalResult> batched =
-        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, true, 0));
+        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, 0));
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    Status match = CompareResultSets(row_path->results, batched->results, 0.0);
+    Status match = CompareResultSets(anchor, batched->results, 0.0);
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }
 }
 
-// Overlapping keys exercise the per-row ForEachBlock fallback inside the
-// columnar map task (records replicate to several blocks).
-TEST(BatchDifferentialTest, AnnotatedKeyPipelineMatchesRowPath) {
-  SchemaPtr schema = PaperSchema();
+// Overlapping keys exercise the per-row ForEachBlock replication inside
+// the batched map task (records replicate to several blocks).
+TEST(BatchDifferentialTest, AnnotatedKeyPipelineMatchesOneRowAnchor) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);  // sibling windows
   Table table = PaperUniformTable(2000, 71);
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
   plan.clustering_factor = 4;
-  Result<ParallelEvalResult> row_path =
-      EvaluateParallel(wf, table, plan, PipelineOpts(-1, false, 0));
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
+  const MeasureResultSet anchor = OneRowAnchor(wf, table, plan);
   for (int64_t batch_rows : kBatchSizes) {
     Result<ParallelEvalResult> batched =
-        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, true, 0));
+        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, 0));
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    Status match = CompareResultSets(row_path->results, batched->results, 0.0);
+    Status match = CompareResultSets(anchor, batched->results, 0.0);
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }

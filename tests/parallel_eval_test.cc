@@ -2,16 +2,19 @@
 //
 // Tests for the parallel evaluator mechanics: exactness against the
 // reference evaluator on focused workflows, replication accounting,
-// ownership filtering, early aggregation, combined sort, phases, and
-// error handling. (Whole-paper-query exactness lives in integration_test.)
+// ownership filtering, early aggregation, combined sort, phases, error
+// handling, and shared evaluation's k-member runs against solo runs.
+// (Whole-paper-query exactness lives in integration_test.)
 
 #include <gtest/gtest.h>
 
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
+#include "core/shared_evaluator.h"
 #include "data/generator.h"
 #include "local/reference_evaluator.h"
 #include "queries/paper_data.h"
+#include "queries/paper_queries.h"
 
 namespace casm {
 namespace {
@@ -339,6 +342,125 @@ TEST(ParallelEvalTest, NominalAttributesDistributeCorrectly) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(CompareResultSets(expected, result->results, 1e-9).ok())
       << CompareResultSets(expected, result->results, 1e-9).ToString();
+}
+
+// ---- Shared evaluation (core/shared_evaluator.h): k members over one
+// scan must each match a solo run under the same plan bit for bit.
+
+/// Q5 (sibling windows), Q1 and Q3 over ONE schema instance, planned on
+/// their concatenation as the service plans a shared batch.
+struct SharedFixture {
+  SchemaPtr schema = PaperSchema();
+  Table table = GenerateUniformTable(schema, 2000, 29);
+  std::vector<Workflow> workflows;
+  ExecutionPlan plan;
+
+  explicit SharedFixture(int64_t cf) {
+    for (PaperQuery q : {PaperQuery::kQ5, PaperQuery::kQ1, PaperQuery::kQ3}) {
+      workflows.push_back(MakePaperQuery(q, schema));
+    }
+    Workflow concat =
+        ConcatWorkflows({&workflows[0], &workflows[1], &workflows[2]})
+            .value();
+    plan.key = DeriveDistributionKeys(concat).query_key;
+    plan.clustering_factor = cf;
+  }
+
+  std::vector<SharedQuery> Members(size_t k) const {
+    std::vector<SharedQuery> queries;
+    for (size_t i = 0; i < k; ++i) queries.push_back({&workflows[i], ""});
+    return queries;
+  }
+};
+
+/// Runs the first k members shared and each one solo under the same plan
+/// and options; returns the shared run's metrics.
+MapReduceMetrics ExpectSharedMatchesSolo(const SharedFixture& fx, size_t k,
+                                         const ParallelEvalOptions& options) {
+  Result<SharedEvalResult> shared =
+      EvaluateParallelShared(fx.Members(k), fx.table, fx.plan, options);
+  EXPECT_TRUE(shared.ok()) << shared.status();
+  if (!shared.ok()) return MapReduceMetrics();
+  EXPECT_EQ(shared->queries.size(), k);
+  for (size_t i = 0; i < k && i < shared->queries.size(); ++i) {
+    Result<ParallelEvalResult> solo =
+        EvaluateParallel(fx.workflows[i], fx.table, fx.plan, options);
+    EXPECT_TRUE(solo.ok()) << solo.status();
+    if (!solo.ok()) continue;
+    const SharedQueryResult& member = shared->queries[i];
+    const Status same =
+        CompareResultSets(solo->results, member.results, /*tolerance=*/0.0);
+    EXPECT_TRUE(same.ok()) << "k=" << k << " member " << i << ": "
+                           << same.ToString();
+    EXPECT_GT(member.results.TotalResults(), 0);
+    EXPECT_EQ(member.blocks_evaluated, solo->blocks_evaluated);
+    EXPECT_EQ(member.results_filtered, solo->results_filtered);
+  }
+  return shared->metrics;
+}
+
+TEST(SharedEvalTest, ReplicatingPlanMatchesSoloBitForBit) {
+  SharedFixture fx(/*cf=*/4);
+  ASSERT_GT(fx.plan.AnnotationWidth(), 0);
+  for (size_t k : {size_t{1}, size_t{3}}) {
+    const MapReduceMetrics m = ExpectSharedMatchesSolo(fx, k, EvalOpts(3, 4));
+    EXPECT_GT(m.ReplicationFactor(), 1.0) << "k=" << k;
+  }
+}
+
+TEST(SharedEvalTest, ColumnBlockSpillsMatchSoloBitForBit) {
+  SharedFixture fx(/*cf=*/1);
+  ParallelEvalOptions options = EvalOpts(3, 4);
+  options.emitter_spill_threshold_bytes = int64_t{1} << 12;
+  for (size_t k : {size_t{1}, size_t{3}}) {
+    const MapReduceMetrics m = ExpectSharedMatchesSolo(fx, k, options);
+    EXPECT_GT(m.emitter_spilled_runs, 0)
+        << "spill threshold did not trigger; tighten the test";
+  }
+}
+
+TEST(SharedEvalTest, RejectsUnsupportedRequests) {
+  SharedFixture fx(/*cf=*/1);
+  const ParallelEvalOptions options = EvalOpts(2, 2);
+  const auto status_of = [&](const std::vector<SharedQuery>& queries,
+                             const ExecutionPlan& plan,
+                             const ParallelEvalOptions& opts) {
+    return EvaluateParallelShared(queries, fx.table, plan, opts)
+        .status()
+        .code();
+  };
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+
+  EXPECT_EQ(status_of({}, fx.plan, options), kInvalid);
+  EXPECT_EQ(status_of({{nullptr, ""}}, fx.plan, options), kInvalid);
+
+  // Same query text, but a different schema instance than member 0's.
+  const Workflow foreign = MakePaperQuery(PaperQuery::kQ1, PaperSchema());
+  std::vector<SharedQuery> mixed = fx.Members(1);
+  mixed.push_back({&foreign, ""});
+  EXPECT_EQ(status_of(mixed, fx.plan, options), kInvalid);
+
+  ExecutionPlan early = fx.plan;
+  early.early_aggregation = true;
+  EXPECT_EQ(status_of(fx.Members(1), early, options), kInvalid);
+
+  ExecutionPlan combined = fx.plan;
+  combined.combined_sort = true;
+  EXPECT_EQ(status_of(fx.Members(1), combined, options), kInvalid);
+
+  for (ParallelEvalPhase phase :
+       {ParallelEvalPhase::kMapOnly, ParallelEvalPhase::kShuffleOnly,
+        ParallelEvalPhase::kLocalSortOnly}) {
+    ParallelEvalOptions partial = options;
+    partial.phase = phase;
+    EXPECT_EQ(status_of(fx.Members(1), fx.plan, partial), kInvalid);
+  }
+
+  ParallelEvalOptions checkpointed = options;
+  checkpointed.checkpoint.dir = "unused-checkpoint-dir";
+  checkpointed.checkpoint.mode = CheckpointMode::kResume;
+  ASSERT_TRUE(checkpointed.checkpoint.enabled());
+  EXPECT_EQ(status_of(fx.Members(1), fx.plan, checkpointed), kInvalid);
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ MeasureResultSet SoloReference(const Workflow& wf, const Table& table,
   eval.num_mappers = options.num_mappers;
   eval.num_reducers = options.num_reducers;
   eval.num_threads = options.num_threads;
-  eval.columnar = options.columnar;
   eval.local_agg = options.local_agg;
   Result<ParallelEvalResult> solo = EvaluateParallel(wf, table, plan, eval);
   EXPECT_TRUE(solo.ok()) << solo.status();
