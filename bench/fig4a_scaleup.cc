@@ -11,6 +11,7 @@
 // columnar_throughput_rows_per_sec floors the bench-regression job gates
 // (bench/baselines/fig4a.json).
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>

@@ -29,8 +29,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -217,17 +217,20 @@ int main() {
     const std::string dir = ckpt_root + "/kill_resume";
     ParallelEvalOptions kill_opts = BaseOptions(cluster, dir);
     std::filesystem::remove_all(dir, ec);
-    auto runs = std::make_shared<std::atomic<int>>(0);
-    kill_opts.fault_injector = [runs](MapReduceTaskPhase phase, int task,
-                                      int attempt) -> Status {
-      if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
-        runs->fetch_add(1);
-      }
-      if (runs->load() > 2) {
-        return Status::Internal("injected kill after 2 jobs");
-      }
-      return Status::OK();
-    };
+    std::atomic<int> runs{0};
+    FaultPlan kill_plan;
+    kill_plan.set_parent(FaultPlan::FromEnv().value());
+    kill_plan.AddCrashHook(
+        [&runs](const char* phase, int task, int attempt) -> Status {
+          if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
+            runs.fetch_add(1);
+          }
+          if (runs.load() > 2) {
+            return Status::Internal("injected kill after 2 jobs");
+          }
+          return Status::OK();
+        });
+    kill_opts.fault_plan = &kill_plan;
     Result<MultiJobResult> dead = EvaluateMultiJob(wf, table, kill_opts);
     CASM_CHECK(!dead.ok()) << "kill injector did not kill the sequence";
 

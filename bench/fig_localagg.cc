@@ -15,6 +15,7 @@
 // counters — for the adaptive rows the counters record WHICH engine the
 // chooser dispatched (exactly one of localagg_sortscan/morsel/radix is 1).
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>

@@ -31,11 +31,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
+#include <string_view>
 
 #include "bench/bench_util.h"
 #include "ckpt/checkpoint.h"
+#include "common/fault.h"
 #include "core/multijob_evaluator.h"
 #include "measure/workflow.h"
 
@@ -136,19 +137,22 @@ int main() {
     // ---- kill: fail every task once k jobs have committed. The engine
     // runs map task 0's first attempt exactly once per job, so counting
     // those sightings counts completed engine runs.
-    auto runs = std::make_shared<std::atomic<int>>(0);
+    std::atomic<int> runs{0};
+    FaultPlan kill_plan;
+    kill_plan.set_parent(FaultPlan::FromEnv().value());
+    kill_plan.AddCrashHook(
+        [k, &runs](const char* phase, int task, int attempt) -> Status {
+          if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
+            runs.fetch_add(1);
+          }
+          if (runs.load() > k) {
+            return Status::Internal("injected kill after " +
+                                    std::to_string(k) + " jobs");
+          }
+          return Status::OK();
+        });
     ParallelEvalOptions killed = opts;
-    killed.fault_injector = [k, runs](MapReduceTaskPhase phase, int task,
-                                      int attempt) -> Status {
-      if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
-        runs->fetch_add(1);
-      }
-      if (runs->load() > k) {
-        return Status::Internal("injected kill after " + std::to_string(k) +
-                                " jobs");
-      }
-      return Status::OK();
-    };
+    killed.fault_plan = &kill_plan;
     t0 = std::chrono::steady_clock::now();
     Result<MultiJobResult> dead = EvaluateMultiJob(wf, table, killed);
     const double kill_seconds = Seconds(t0);

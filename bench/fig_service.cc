@@ -18,6 +18,7 @@
 // feeds scripts/check_bench.py — latency fields are regression ceilings,
 // the scan-pass speedup is a floor.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>

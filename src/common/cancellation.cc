@@ -9,6 +9,9 @@ namespace casm {
 
 bool InterruptibleSleep(double seconds, const CancellationToken* token) {
   using clock = std::chrono::steady_clock;
+  // Clamped so the duration_cast below stays in range for huge or
+  // infinite delays; ~31 years means "until cancelled" to every caller.
+  seconds = std::min(seconds, 1e9);
   const auto end = clock::now() + std::chrono::duration_cast<clock::duration>(
                                       std::chrono::duration<double>(seconds));
   // Short slices keep cancellation latency well under a millisecond

@@ -2,7 +2,9 @@
 
 #include "common/fault.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <vector>
@@ -109,16 +111,12 @@ double FaultPlan::UnitHash(uint64_t tag, std::string_view s, int64_t a,
 
 Status FaultPlan::OnTaskAttempt(const char* phase, int task,
                                 int attempt) const {
-  // Every hook runs on every attempt (legacy injectors count invocations);
-  // the first failure wins but does not short-circuit later hooks.
-  Status failed = Status::OK();
   for (const TaskStatusHook& hook : crash_hooks_) {
     Status s = hook(phase, task, attempt);
-    if (!s.ok() && failed.ok()) failed = std::move(s);
-  }
-  if (!failed.ok()) {
-    counters_->faults_injected.fetch_add(1, std::memory_order_relaxed);
-    return failed;
+    if (!s.ok()) {
+      counters_->faults_injected.fetch_add(1, std::memory_order_relaxed);
+      return s;
+    }
   }
   for (size_t i = 0; i < crashes_.size(); ++i) {
     const TaskCrash& c = crashes_[i];
@@ -333,7 +331,8 @@ Status ParsePhase(const std::string& clause, const std::string& token,
                                  "' (want map|reduce|*)");
 }
 
-/// Parses an integer field that admits "*" for "any" (-1).
+/// Parses a task, attempt or node ordinal: an int in [0, INT_MAX], or "*"
+/// for "any" (-1).
 Status ParseAnyInt(const std::string& clause, const std::string& token,
                    int* out) {
   if (token == "*") {
@@ -342,7 +341,36 @@ Status ParseAnyInt(const std::string& clause, const std::string& token,
   }
   int64_t v = 0;
   CASM_RETURN_IF_ERROR(ParseInt(clause, token, &v));
+  if (v < 0 || v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("fault plan: '" + token +
+                                   "' is out of range in clause '" + clause +
+                                   "' (want a non-negative int or *)");
+  }
   *out = static_cast<int>(v);
+  return Status::OK();
+}
+
+/// Parses a probability in [0, 1].
+Status ParseProbability(const std::string& clause, const std::string& token,
+                        double* out) {
+  CASM_RETURN_IF_ERROR(ParseDouble(clause, token, out));
+  if (!(*out >= 0.0 && *out <= 1.0)) {  // also rejects NaN
+    return Status::InvalidArgument("fault plan: probability '" + token +
+                                   "' is outside [0, 1] in clause '" +
+                                   clause + "'");
+  }
+  return Status::OK();
+}
+
+/// Parses a finite, non-negative number of seconds.
+Status ParseSeconds(const std::string& clause, const std::string& token,
+                    double* out) {
+  CASM_RETURN_IF_ERROR(ParseDouble(clause, token, out));
+  if (!std::isfinite(*out) || *out < 0) {
+    return Status::InvalidArgument("fault plan: seconds '" + token +
+                                   "' must be finite and >= 0 in clause '" +
+                                   clause + "'");
+  }
   return Status::OK();
 }
 
@@ -394,7 +422,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       IoError e;
       if (key == "io_error") {
-        CASM_RETURN_IF_ERROR(ParseDouble(clause, args[0], &e.probability));
+        CASM_RETURN_IF_ERROR(ParseProbability(clause, args[0], &e.probability));
       } else {
         CASM_RETURN_IF_ERROR(ParseInt(clause, args[0], &e.every_nth));
         if (e.every_nth <= 0) {
@@ -421,7 +449,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       BlockCorruption c;
       if (key == "block_corrupt") {
-        CASM_RETURN_IF_ERROR(ParseDouble(clause, args[0], &c.probability));
+        CASM_RETURN_IF_ERROR(ParseProbability(clause, args[0], &c.probability));
       } else {
         CASM_RETURN_IF_ERROR(ParseInt(clause, args[0], &c.every_nth));
         if (c.every_nth <= 0) {
@@ -442,7 +470,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[1], &c.task));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[2], &c.attempt));
       if (args.size() == 4) {
-        CASM_RETURN_IF_ERROR(ParseDouble(clause, args[3], &c.probability));
+        CASM_RETURN_IF_ERROR(ParseProbability(clause, args[3], &c.probability));
       }
       plan.Add(std::move(c));
     } else if (key == "slow_task") {
@@ -455,7 +483,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       CASM_RETURN_IF_ERROR(ParsePhase(clause, args[0], &s.phase));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[1], &s.task));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[2], &s.attempt));
-      CASM_RETURN_IF_ERROR(ParseDouble(clause, args[3], &s.seconds));
+      CASM_RETURN_IF_ERROR(ParseSeconds(clause, args[3], &s.seconds));
       plan.Add(std::move(s));
     } else if (key == "throttle") {
       if (args.size() != 4) {
@@ -468,7 +496,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[1], &t.task));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[2], &t.attempt));
       CASM_RETURN_IF_ERROR(
-          ParseDouble(clause, args[3], &t.seconds_per_record));
+          ParseSeconds(clause, args[3], &t.seconds_per_record));
       plan.Add(std::move(t));
     } else {
       return Status::InvalidArgument("fault plan: unknown clause key '" +
@@ -479,13 +507,16 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
   return plan;
 }
 
-const FaultPlan* FaultPlan::FromEnv() {
-  static const FaultPlan* plan = []() -> const FaultPlan* {
+Result<const FaultPlan*> FaultPlan::FromEnv() {
+  static const Result<const FaultPlan*> plan =
+      []() -> Result<const FaultPlan*> {
     const char* env = std::getenv("CASM_FAULT_PLAN");
     if (env == nullptr || *env == '\0') return nullptr;
     Result<FaultPlan> parsed = Parse(env);
-    CASM_CHECK(parsed.ok()) << "CASM_FAULT_PLAN: "
-                            << parsed.status().ToString();
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("CASM_FAULT_PLAN: " +
+                                     parsed.status().message());
+    }
     return new FaultPlan(std::move(parsed).value());
   }();
   return plan;

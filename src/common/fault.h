@@ -24,9 +24,9 @@
 // plan replayed over the same execution injects the same faults — chaos
 // runs print their seed and are reproducible.
 //
-// Plans compose: set_parent() chains a local plan (e.g. the adapter the
-// engine builds for the legacy MapReduceSpec injector hooks) in front of a
-// shared one (e.g. the process-global plan parsed from CASM_FAULT_PLAN).
+// Plans compose: set_parent() chains a local plan (e.g. a bench's task
+// crash hook) in front of a shared one (e.g. the process-global plan
+// parsed from CASM_FAULT_PLAN).
 // Registration (Add*/set_*) is not thread-safe and must finish before the
 // plan is shared; the query methods are thread-safe and lock-free.
 //
@@ -60,8 +60,8 @@ class FaultPlan {
  public:
   // ---- Fault specs ------------------------------------------------------
   // In every spec, `phase` is "map", "reduce", or "" (any); integer fields
-  // use -1 for "any". Attempt numbers are the engine's 1-based injector
-  // attempt numbers (speculative backups are max_task_attempts+1..2*max).
+  // use -1 for "any". Attempt numbers are the engine's 1-based attempt
+  // numbers (speculative backups are max_task_attempts+1..2*max).
 
   /// A task attempt fails with an Internal Status.
   struct TaskCrash {
@@ -80,7 +80,9 @@ class FaultPlan {
     double seconds = 0;
   };
 
-  /// Every record processed by a matching attempt owes an extra delay.
+  /// Every record processed by a matching attempt owes an extra delay
+  /// (map: per emitted pair; reduce: per grouped pair), slept cancellably
+  /// in small batches: a slow-but-not-stuck node.
   struct RecordThrottle {
     std::string phase;
     int task = -1;
@@ -114,12 +116,12 @@ class FaultPlan {
     int64_t to_io_op = std::numeric_limits<int64_t>::max();
   };
 
-  // ---- Legacy adapter hooks ---------------------------------------------
-  // Thin bridges for the pre-existing MapReduceSpec injector fields. Hooks
-  // run before the plan's own specs and before the parent, and — unlike
-  // specs — *every* crash hook runs on every matching attempt even when an
-  // earlier one already failed the attempt, preserving the legacy
-  // exactly-once-per-attempt invocation contract the mr_fault tests assert.
+  // ---- Task hooks ---------------------------------------------------------
+  // Custom task-fault logic for callers a fixed (phase, task, attempt) spec
+  // cannot express: decisions that count calls, keep state across runs, or
+  // timestamp attempts. Hooks are consulted at the same fault points as
+  // the specs, before them and before the parent; the first crash hook or
+  // spec that fails the attempt decides it, and later ones are skipped.
 
   /// Returns non-OK to fail the attempt.
   using TaskStatusHook =
@@ -216,9 +218,10 @@ class FaultPlan {
   static Result<FaultPlan> Parse(const std::string& text);
 
   /// The process-global plan parsed from CASM_FAULT_PLAN, or nullptr when
-  /// the variable is unset/empty. Parsed once; a malformed value aborts
-  /// with the parse error (fail fast, not silently fault-free).
-  static const FaultPlan* FromEnv();
+  /// the variable is unset/empty. Parsed once per process; a malformed
+  /// value yields the parse error (InvalidArgument) on every call, so no
+  /// run proceeds silently fault-free.
+  static Result<const FaultPlan*> FromEnv();
 
  private:
   // Mutable injection state, shared so the plan stays movable and queries

@@ -96,7 +96,6 @@ void ApplyEngineOptions(const ParallelEvalOptions& options,
   spec->memory_budget_bytes = options.memory_budget_bytes;
   spec->emitter_spill_threshold_bytes = options.emitter_spill_threshold_bytes;
   spec->max_task_attempts = options.max_task_attempts;
-  spec->fault_injector = options.fault_injector;
   spec->fault_plan = options.fault_plan;
   spec->retry_backoff_initial_ms = options.retry_backoff_initial_ms;
   spec->retry_backoff_max_ms = options.retry_backoff_max_ms;
@@ -108,8 +107,6 @@ void ApplyEngineOptions(const ParallelEvalOptions& options,
       options.speculation_min_completed_fraction;
   spec->speculation_min_runtime_seconds =
       options.speculation_min_runtime_seconds;
-  spec->slow_task_injector = options.slow_task_injector;
-  spec->record_throttle_injector = options.record_throttle_injector;
   spec->trace = options.trace;
   spec->flight = options.flight;
   spec->progress = options.progress;

@@ -66,12 +66,10 @@ struct ParallelEvalOptions {
   /// Hadoop-style per-task retry budget forwarded to the engine (>= 1);
   /// exhausted retries surface as a non-OK Status naming phase and task.
   int max_task_attempts = 2;
-  /// Optional deterministic fault injection forwarded to the engine
-  /// (tests, chaos benches). See mr/engine.h.
-  MapReduceFaultInjector fault_injector;
-  /// Composed multi-domain fault plan (common/fault.h) forwarded to the
-  /// engine and to the checkpoint volume; null = the process-global
-  /// CASM_FAULT_PLAN plan. Not owned.
+  /// Fault plan (common/fault.h) forwarded to the engine and to the
+  /// checkpoint volume: task crashes, slowdowns and record throttles,
+  /// storage faults. null = the process-global CASM_FAULT_PLAN plan.
+  /// Not owned.
   const FaultPlan* fault_plan = nullptr;
   /// Task retry backoff forwarded to the engine: first delay, doubling
   /// per retry up to the cap, with jitter. 0 = retry immediately.
@@ -92,8 +90,6 @@ struct ParallelEvalOptions {
   double speculation_latency_multiple = 4.0;
   double speculation_min_completed_fraction = 0.5;
   double speculation_min_runtime_seconds = 0.05;
-  /// Optional deterministic latency injection (tests, chaos benches).
-  MapReduceSlowTaskInjector slow_task_injector;
 
   /// Trace recorder for the run's spans (obs/trace.h). Null uses the
   /// process-global recorder, which records only under CASM_TRACE; point
@@ -128,12 +124,6 @@ struct ParallelEvalOptions {
   /// (unset = no ticker).
   double progress_seconds = 0;
 
-  /// Per-record latency injection: seconds of delay charged per record
-  /// processed by the given attempt, modeling slow-but-not-stuck nodes
-  /// (heterogeneous hardware) rather than the one-shot stalls of
-  /// `slow_task_injector`. See mr/engine.h.
-  MapReduceRecordThrottleInjector record_throttle_injector;
-
   /// Durable per-job checkpointing (src/ckpt): with a directory set and
   /// mode kResume, EvaluateMultiJob commits each completed job's results
   /// to the DFS volume and a re-run restores committed jobs instead of
@@ -148,7 +138,7 @@ struct ParallelEvalOptions {
   LocalAggOptions local_agg;
 };
 
-/// Copies the robustness knobs of `options` (retry budget, injectors,
+/// Copies the robustness knobs of `options` (retry budget, fault plan,
 /// deadline, cancellation, speculation policy, memory budget and spill
 /// thresholds) into `spec`. Shared by EvaluateParallel and the multi-job
 /// evaluator so the two paths cannot drift.

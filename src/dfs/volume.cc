@@ -243,9 +243,11 @@ Status PublishManifest(const std::string& root, const std::string& name,
   return SyncDirectory(root);
 }
 
-const FaultPlan* ResolvedPlan(const DfsVolumeOptions& options) {
-  return options.fault_plan != nullptr ? options.fault_plan
-                                       : FaultPlan::FromEnv();
+/// The options' fault plan, else the process-global CASM_FAULT_PLAN one
+/// (InvalidArgument when that does not parse).
+Result<const FaultPlan*> ResolvedPlan(const DfsVolumeOptions& options) {
+  if (options.fault_plan != nullptr) return options.fault_plan;
+  return FaultPlan::FromEnv();
 }
 
 TraceRecorder* ResolvedTrace(const DfsVolumeOptions& options) {
@@ -649,6 +651,7 @@ Status DfsVolume::FileWriter::Commit() {
   if (committed_) {
     return Status::FailedPrecondition("double Commit on '" + name_ + "'");
   }
+  CASM_ASSIGN_OR_RETURN(const FaultPlan* plan, ResolvedPlan(options_));
   if (!pending_.empty()) {
     CASM_RETURN_IF_ERROR(SealBlock(pending_));
     pending_.clear();
@@ -660,7 +663,6 @@ Status DfsVolume::FileWriter::Commit() {
     CASM_RETURN_IF_ERROR(SyncAndClose(f, staging_path_));
   }
 
-  const FaultPlan* plan = ResolvedPlan(options_);
   TraceRecorder* trace = ResolvedTrace(options_);
   const bool tracing = trace != nullptr && trace->enabled();
   const double span_start = tracing ? trace->NowSeconds() : 0;
@@ -858,6 +860,7 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
   if (!ValidFileName(name)) {
     return Status::InvalidArgument("invalid DFS file name '" + name + "'");
   }
+  CASM_ASSIGN_OR_RETURN(const FaultPlan* plan, ResolvedPlan(options_));
   std::error_code ec;
   const std::string manifest_path = ManifestPath(root_, name);
   if (!fs::exists(manifest_path, ec)) {
@@ -867,7 +870,6 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
                         ReadWholeFile(manifest_path));
   CASM_ASSIGN_OR_RETURN(Manifest manifest, ParseManifest(manifest_text, name));
 
-  const FaultPlan* plan = ResolvedPlan(options_);
   TraceRecorder* trace = ResolvedTrace(options_);
   const bool tracing = trace != nullptr && trace->enabled();
   const double span_start = tracing ? trace->NowSeconds() : 0;
@@ -1000,7 +1002,7 @@ std::vector<std::string> DfsVolume::ListFiles() const {
 }
 
 Result<ScrubReport> DfsVolume::Scrub() const {
-  const FaultPlan* plan = ResolvedPlan(options_);
+  CASM_ASSIGN_OR_RETURN(const FaultPlan* plan, ResolvedPlan(options_));
   TraceRecorder* trace = ResolvedTrace(options_);
   const bool tracing = trace != nullptr && trace->enabled();
   const double span_start = tracing ? trace->NowSeconds() : 0;

@@ -82,7 +82,8 @@ struct DfsVolumeOptions {
   double staging_gc_age_seconds = 3600;
 
   /// Fault injection source. null = the process-global CASM_FAULT_PLAN
-  /// plan (if any). Not owned; must outlive the volume.
+  /// plan (if any); a malformed one makes commits, reads and scrubs
+  /// return InvalidArgument. Not owned; must outlive the volume.
   const FaultPlan* fault_plan = nullptr;
   /// Trace recorder for "dfs" spans/instants. null = the global one
   /// (enabled only under CASM_TRACE). Not owned.

@@ -32,6 +32,15 @@
 namespace casm {
 namespace {
 
+/// Which side of the job a task attempt belongs to.
+enum class MapReduceTaskPhase { kMap, kReduce };
+
+/// "map" / "reduce": the phase name the fault plan, traces, progress and
+/// error messages see.
+const char* TaskPhaseName(MapReduceTaskPhase phase) {
+  return phase == MapReduceTaskPhase::kMap ? "map" : "reduce";
+}
+
 /// Emitters account buffered bytes against the budget in chunks of this
 /// size, so emitting is not one budget lock per pair. Also the slack the
 /// engine adds on top of the spill threshold when projecting a map
@@ -132,12 +141,12 @@ double RetryBackoffSeconds(const MapReduceSpec& spec,
 /// returned, prefixed with the phase and task id. A cancelled attempt
 /// (Cancelled / DeadlineExceeded) is neither a failure nor retriable —
 /// its status is returned as-is for the phase runner to classify.
-/// `attempt_offset` shifts the attempt numbers seen by the injectors so a
+/// `attempt_offset` shifts the attempt numbers seen by the fault plan so a
 /// speculative backup execution (offset = max_task_attempts) is
 /// distinguishable from the primary (offset = 0). `plan` is the resolved
-/// fault plan (legacy injectors adapted in, possibly null = no injection).
+/// fault plan (null = no injection).
 ///
-/// Tracing: every attempt that reaches its injectors gets a span in
+/// Tracing: every attempt that reaches its fault point gets a span in
 /// `trace` (category = phase name) tagged retried / failed / cancelled;
 /// the successful attempt's span goes to `success_span` instead (see
 /// above).
@@ -154,20 +163,20 @@ Status RunTaskWithRetry(
       spec.flight != nullptr ? spec.flight : FlightRecorder::Global();
   for (int attempt = 1;; ++attempt) {
     if (token != nullptr && token->cancelled()) return token->status();
-    const int injector_attempt = attempt_offset + attempt;
+    const int attempt_number = attempt_offset + attempt;
     const bool tracing = trace != nullptr && trace->enabled();
     const double span_start = tracing ? trace->NowSeconds() : 0;
     auto record_attempt = [&](TraceOutcome outcome, std::string detail) {
       trace->RecordSpan(phase_name,
                         std::string(phase_name) + " t" + std::to_string(task),
                         span_start, trace->NowSeconds(), task,
-                        injector_attempt, outcome, std::move(detail));
+                        attempt_number, outcome, std::move(detail));
     };
     bool output_started = false;
     Status status;
     if (armed) {
       const double delay =
-          plan->TaskSlowdownSeconds(phase_name, task, injector_attempt);
+          plan->TaskSlowdownSeconds(phase_name, task, attempt_number);
       if (delay > 0 && !InterruptibleSleep(delay, token)) {
         // Cancelled inside the injected delay: the attempt was already in
         // flight, so it still gets a span.
@@ -177,11 +186,11 @@ Status RunTaskWithRetry(
         }
         return token->status();
       }
-      status = plan->OnTaskAttempt(phase_name, task, injector_attempt);
+      status = plan->OnTaskAttempt(phase_name, task, attempt_number);
     }
     if (status.ok()) {
       try {
-        status = attempt_body(injector_attempt, &output_started);
+        status = attempt_body(attempt_number, &output_started);
       } catch (const std::exception& e) {
         status = Status::Internal(std::string("uncaught exception: ") +
                                   e.what());
@@ -191,7 +200,7 @@ Status RunTaskWithRetry(
     }
     if (status.ok()) {
       if (tracing && success_span != nullptr) {
-        *success_span = SuccessSpan{true, injector_attempt, span_start,
+        *success_span = SuccessSpan{true, attempt_number, span_start,
                                     trace->NowSeconds()};
       }
       return status;
@@ -211,7 +220,7 @@ Status RunTaskWithRetry(
     if (output_started || !budget_left) {
       if (tracing) record_attempt(TraceOutcome::kFailed, status.message());
       if (flight->enabled()) {
-        flight->Record("task", "task-failed", task, injector_attempt,
+        flight->Record("task", "task-failed", task, attempt_number,
                        std::string(phase_name) + ": " + status.message(),
                        spec.query_label);
       }
@@ -226,7 +235,7 @@ Status RunTaskWithRetry(
     }
     if (tracing) record_attempt(TraceOutcome::kRetried, status.message());
     if (flight->enabled()) {
-      flight->Record("task", "task-retried", task, injector_attempt,
+      flight->Record("task", "task-retried", task, attempt_number,
                      std::string(phase_name) + ": " + status.message(),
                      spec.query_label);
     }
@@ -236,7 +245,7 @@ Status RunTaskWithRetry(
     }
     TaskRetriedCounter(phase)->Increment();
     const double backoff =
-        RetryBackoffSeconds(spec, phase, task, injector_attempt);
+        RetryBackoffSeconds(spec, phase, task, attempt_number);
     if (backoff > 0 && !InterruptibleSleep(backoff, token)) {
       return token->status();
     }
@@ -276,8 +285,8 @@ struct PhaseStats {
 class PhaseRunner {
  public:
   /// Runs one attempt of `(task, exec)`; called through the retry loop.
-  /// `attempt` is the injector attempt number (offset by the execution,
-  /// see RunTaskWithRetry) so bodies can consult per-attempt injectors.
+  /// `attempt` is the fault-plan attempt number (offset by the execution,
+  /// see RunTaskWithRetry) so bodies can consult per-attempt faults.
   using AttemptBody = std::function<Status(
       int task, int exec, int attempt, const CancellationToken* token,
       bool* output_started)>;
@@ -608,10 +617,6 @@ class PhaseRunner {
 };
 
 }  // namespace
-
-const char* TaskPhaseName(MapReduceTaskPhase phase) {
-  return phase == MapReduceTaskPhase::kMap ? "map" : "reduce";
-}
 
 uint64_t PartitionHash(const int64_t* key, int width) {
   uint64_t h = 1469598103934665603ULL;
@@ -955,6 +960,11 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
           "speculation_min_completed_fraction must be in [0, 1]");
     }
   }
+  // The spec's fault plan, else the process-global CASM_FAULT_PLAN one.
+  const FaultPlan* plan = spec.fault_plan;
+  if (plan == nullptr) {
+    CASM_ASSIGN_OR_RETURN(plan, FaultPlan::FromEnv());
+  }
 
   const int num_mappers = spec.num_mappers;
   const int num_reducers = spec.num_reducers;
@@ -1026,43 +1036,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
 
   RetryCounters counters;
 
-  // ---- Fault-plan resolution: one unified injection registry per run.
-  // The three legacy MapReduceSpec injector hooks are adapted onto a
-  // run-local plan chained in front of spec.fault_plan (or the
-  // process-global CASM_FAULT_PLAN plan when unset), so every injection
-  // site below consults a single fault point.
-  const FaultPlan* const base_plan =
-      spec.fault_plan != nullptr ? spec.fault_plan : FaultPlan::FromEnv();
-  FaultPlan legacy_adapter;
-  const FaultPlan* plan = base_plan;
-  if (spec.fault_injector || spec.slow_task_injector ||
-      spec.record_throttle_injector) {
-    legacy_adapter.set_parent(base_plan);
-    auto to_phase = [](const char* phase) {
-      return phase[0] == 'm' ? MapReduceTaskPhase::kMap
-                             : MapReduceTaskPhase::kReduce;
-    };
-    if (spec.fault_injector) {
-      legacy_adapter.AddCrashHook(
-          [&spec, to_phase](const char* phase, int task, int attempt) {
-            return spec.fault_injector(to_phase(phase), task, attempt);
-          });
-    }
-    if (spec.slow_task_injector) {
-      legacy_adapter.AddSlowdownHook(
-          [&spec, to_phase](const char* phase, int task, int attempt) {
-            return spec.slow_task_injector(to_phase(phase), task, attempt);
-          });
-    }
-    if (spec.record_throttle_injector) {
-      legacy_adapter.AddThrottleHook(
-          [&spec, to_phase](const char* phase, int task, int attempt) {
-            return spec.record_throttle_injector(to_phase(phase), task,
-                                                 attempt);
-          });
-    }
-    plan = &legacy_adapter;
-  }
   const bool plan_armed = plan != nullptr && plan->armed();
 
   // ---- Memory accounting and admission control (DESIGN.md §8). One

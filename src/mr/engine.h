@@ -94,42 +94,6 @@ uint64_t PartitionHash(const int64_t* key, int width);
 void PartitionHashColumns(const int64_t* const* key_cols, int key_width,
                           int64_t n, uint64_t* out);
 
-/// Which side of the job a task attempt belongs to.
-enum class MapReduceTaskPhase { kMap, kReduce };
-
-/// "map" / "reduce" — used in error messages and logs.
-const char* TaskPhaseName(MapReduceTaskPhase phase);
-
-/// Deterministic fault-injection hook: invoked at the start of every task
-/// attempt (`attempt` is 1-based); returning a non-OK status makes that
-/// attempt fail as if the user function had failed. Lets tests and the
-/// cluster cost model exercise retry paths reproducibly, e.g. "fail
-/// reducer 3 on attempt 1".
-using MapReduceFaultInjector =
-    std::function<Status(MapReduceTaskPhase phase, int task, int attempt)>;
-
-/// Deterministic latency-injection hook (the straggler sibling of
-/// MapReduceFaultInjector): invoked at the start of every task attempt;
-/// the returned number of seconds is slept — cancellably — before the
-/// attempt body runs. Attempt numbering: a task's primary execution uses
-/// attempts 1..max_task_attempts, a speculative backup execution
-/// continues with max_task_attempts+1..2*max_task_attempts, so injectors
-/// can slow the primary while leaving the backup fast.
-using MapReduceSlowTaskInjector =
-    std::function<double(MapReduceTaskPhase phase, int task, int attempt)>;
-
-/// Deterministic *per-record* latency injection, modeling heterogeneous
-/// hardware: a slow-but-not-stuck node that processes every record, just
-/// slower. Invoked once per task attempt; the returned number of seconds
-/// is charged for every record the attempt processes (map: per emitted
-/// pair; reduce: per grouped pair), slept cancellably in small batches.
-/// Unlike `slow_task_injector`'s one-shot stall, the delay scales with
-/// the attempt's data volume — the shape real speculation policies must
-/// detect from relative progress rates. Attempt numbering matches
-/// MapReduceSlowTaskInjector (backups continue at max_task_attempts+1).
-using MapReduceRecordThrottleInjector =
-    std::function<double(MapReduceTaskPhase phase, int task, int attempt)>;
-
 /// Mapper-side sink for key/value pairs. Not thread-safe; each mapper task
 /// execution owns one.
 ///
@@ -235,7 +199,7 @@ class Emitter {
   /// Arms per-record throttling for the current attempt: every emitted
   /// pair charges `seconds_per_record`, slept cancellably once the owed
   /// delay accumulates past a millisecond. 0 disarms. Engine-set from
-  /// MapReduceSpec::record_throttle_injector; public for direct tests.
+  /// the fault plan's record throttle; public for direct tests.
   void set_record_throttle(double seconds_per_record) {
     throttle_seconds_per_record_ = seconds_per_record;
     throttle_owed_seconds_ = 0;
@@ -413,13 +377,15 @@ struct MapReduceSpec {
   int64_t retry_backoff_initial_ms = 0;
   /// Upper bound for the per-retry backoff delay.
   int64_t retry_backoff_max_ms = 1000;
-  /// Optional deterministic fault injection (tests, chaos benches).
-  MapReduceFaultInjector fault_injector;
-  /// Unified fault plan (common/fault.h). All injection — including the
-  /// three legacy injector fields above/below, which the engine adapts
-  /// onto a local plan chained in front of this one — routes through a
-  /// FaultPlan. null = the process-global CASM_FAULT_PLAN plan (if any).
-  /// Not owned; must outlive Run().
+  /// Fault plan (common/fault.h): the one source of injected task
+  /// crashes, pre-attempt slowdowns and per-record throttles. Consulted
+  /// at the start of every task attempt with the phase ("map" / "reduce"),
+  /// task id and 1-based attempt number; a speculative backup execution
+  /// continues the numbering at max_task_attempts+1, so a plan can slow a
+  /// task's primary execution and leave its backup fast. null = the
+  /// process-global CASM_FAULT_PLAN plan (if any); a malformed
+  /// CASM_FAULT_PLAN makes Run() return InvalidArgument. Not owned; must
+  /// outlive Run().
   const FaultPlan* fault_plan = nullptr;
 
   // ---- Straggler resilience (see the header comment).
@@ -453,12 +419,6 @@ struct MapReduceSpec {
   /// Absolute floor for the straggler threshold, guarding against
   /// spurious backups when the median task takes microseconds.
   double speculation_min_runtime_seconds = 0.05;
-
-  /// Optional deterministic latency injection (tests, chaos benches).
-  MapReduceSlowTaskInjector slow_task_injector;
-  /// Optional per-record latency injection: heterogeneous-hardware
-  /// slowdowns that scale with data volume instead of stalling once.
-  MapReduceRecordThrottleInjector record_throttle_injector;
 
   /// Run-trace recorder (obs/trace.h): the engine records per-attempt
   /// spans (task id, attempt number, outcome), admission waits, spills,

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -52,21 +53,24 @@ ParallelEvalOptions EvalOpts(const std::string& ckpt_dir = "") {
   return o;
 }
 
-/// Fails every task attempt once `completed_jobs` engine runs have gone
-/// by — each job runs map task 0's first attempt exactly once, so this
-/// kills the sequence at the job boundary after `completed_jobs` jobs.
-MapReduceFaultInjector KillAfterJobs(int completed_jobs,
-                                     std::shared_ptr<std::atomic<int>> runs) {
-  return [completed_jobs, runs](MapReduceTaskPhase phase, int task,
-                                int attempt) -> Status {
-    if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
+/// A plan that fails every task attempt once `completed_jobs` engine runs
+/// have gone by — each job runs map task 0's first attempt exactly once,
+/// so this kills the sequence at the job boundary after `completed_jobs`
+/// jobs.
+FaultPlan KillAfterJobs(int completed_jobs) {
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  FaultPlan plan;
+  plan.AddCrashHook([completed_jobs, runs](const char* phase, int task,
+                                           int attempt) -> Status {
+    if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
       runs->fetch_add(1);
     }
     if (runs->load() > completed_jobs) {
       return Status::Internal("injected mid-sequence fault");
     }
     return Status::OK();
-  };
+  });
+  return plan;
 }
 
 void FlipByte(const std::string& path, int64_t offset) {
@@ -245,9 +249,9 @@ TEST(CkptRecoveryTest, ResumesAfterMidSequenceFaultBitIdentical) {
 
   // Run 1: killed at the boundary after two completed jobs.
   const int kCompleted = 2;
+  FaultPlan kill = KillAfterJobs(kCompleted);
   ParallelEvalOptions crash_opts = EvalOpts(dir);
-  crash_opts.fault_injector =
-      KillAfterJobs(kCompleted, std::make_shared<std::atomic<int>>(0));
+  crash_opts.fault_plan = &kill;
   Result<MultiJobResult> crashed = EvaluateMultiJob(wf, table, crash_opts);
   ASSERT_FALSE(crashed.ok());
   EXPECT_NE(crashed.status().message().find("injected"), std::string::npos)

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -277,18 +278,23 @@ TEST(CancellationTest, InterruptibleSleepRunsFullDurationWhenLive) {
 }
 
 TEST(CancellationTest, InterruptibleSleepAbortsWhenTripped) {
-  CancellationToken token;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    token.Cancel();
-  });
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(InterruptibleSleep(10.0, &token));
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  canceller.join();
-  EXPECT_LT(elapsed, 5.0);
+  // Delays too large for the clock's integer duration sleep until
+  // cancelled too, instead of overflowing it.
+  for (double seconds :
+       {10.0, 1e300, std::numeric_limits<double>::infinity()}) {
+    CancellationToken token;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      token.Cancel();
+    });
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(InterruptibleSleep(seconds, &token)) << seconds;
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    canceller.join();
+    EXPECT_LT(elapsed, 5.0) << seconds;
+  }
 }
 
 TEST(ThreadPoolTest, CancellableParallelForStopsEarly) {

@@ -3,8 +3,7 @@
 // Tests for the unified fault-injection registry (common/fault.h):
 // deterministic seeded decisions, per-site spec matching across the six
 // fault domains, Nth-op counters, outage windows over the io-op clock,
-// parent chaining (the legacy-injector adapter path), and the
-// CASM_FAULT_PLAN grammar.
+// task hooks and parent chaining, and the CASM_FAULT_PLAN grammar.
 
 #include <string>
 #include <vector>
@@ -176,7 +175,7 @@ TEST(FaultPlanTest, ParentChainingComposesPlans) {
   EXPECT_FALSE(child.OnTaskAttempt("map", 0, 1).ok());
   EXPECT_DOUBLE_EQ(child.TaskSlowdownSeconds("map", 1, 1), 0.125);
 
-  // Hooks on the child (the legacy-adapter path) run before the parent.
+  // Hooks on the child run before the parent.
   int hook_calls = 0;
   child.AddCrashHook([&hook_calls](const char*, int, int) {
     ++hook_calls;
@@ -184,6 +183,30 @@ TEST(FaultPlanTest, ParentChainingComposesPlans) {
   });
   EXPECT_FALSE(child.OnTaskAttempt("map", 0, 1).ok());
   EXPECT_EQ(hook_calls, 1);
+}
+
+TEST(FaultPlanTest, FailingCrashHookShortCircuitsLaterHooksAndSpecs) {
+  FaultPlan plan;
+  int later_calls = 0;
+  plan.AddCrashHook([](const char*, int task, int) {
+    return task == 0 ? Status::Internal("hook fault") : Status::OK();
+  });
+  plan.AddCrashHook([&later_calls](const char*, int, int) {
+    ++later_calls;
+    return Status::OK();
+  });
+  FaultPlan::TaskCrash crash;
+  crash.message = "spec fault";
+  plan.Add(crash);
+
+  Status failed = plan.OnTaskAttempt("map", 0, 1);
+  EXPECT_EQ(failed.message(), "hook fault");
+  EXPECT_EQ(later_calls, 0);
+  // A passing first hook lets the rest of the chain decide.
+  EXPECT_NE(plan.OnTaskAttempt("map", 1, 1).message().find("spec fault"),
+            std::string::npos);
+  EXPECT_EQ(later_calls, 1);
+  EXPECT_EQ(plan.faults_injected(), 2);
 }
 
 TEST(FaultPlanTest, ParsesComposedPlanText) {
@@ -207,6 +230,26 @@ TEST(FaultPlanTest, ParseRejectsMalformedText) {
   EXPECT_FALSE(FaultPlan::Parse("io_error=notanumber").ok());
   EXPECT_FALSE(FaultPlan::Parse("task_crash=map").ok());  // missing fields
   EXPECT_FALSE(FaultPlan::Parse("node_down=").ok());
+  // Ordinals must fit an int: 2^32 must not wrap around to task 0.
+  for (const char* text :
+       {"task_crash=map:4294967296:1", "task_crash=map:0:-2",
+        "slow_task=*:2147483648:*:1", "node_down=-5",
+        "io_error_nth=2:read:99999999999",
+        // Seconds must be finite and non-negative.
+        "slow_task=map:0:1:inf", "slow_task=map:0:1:nan",
+        "slow_task=map:0:1:-1", "throttle=*:*:*:infinity",
+        "throttle=reduce:0:1:-0.5",
+        // Probabilities must lie in [0, 1].
+        "io_error=1.5", "io_error=-0.1:read", "block_corrupt=2",
+        "task_crash=map:0:1:nan", "task_crash=*:*:*:1.01"}) {
+    Result<FaultPlan> parsed = FaultPlan::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // The range edges themselves are accepted.
+  EXPECT_TRUE(FaultPlan::Parse("task_crash=map:2147483647:0:0; "
+                               "slow_task=*:*:*:0; io_error=1")
+                  .ok());
 }
 
 TEST(FaultPlanTest, ParseOfEmptyTextIsUnarmed) {

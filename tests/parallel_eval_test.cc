@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
 #include "core/shared_evaluator.h"
@@ -254,16 +255,12 @@ TEST(ParallelEvalTest, InjectedTaskFaultsRetryToByteIdenticalResults) {
   ASSERT_TRUE(clean.ok()) << clean.status();
   EXPECT_EQ(clean->metrics.task_retries, 0);
 
+  FaultPlan faults;
+  faults.Add(FaultPlan::TaskCrash{"map", 0, 1, 1.0, "injected mapper fault"});
+  faults.Add(
+      FaultPlan::TaskCrash{"reduce", 2, 1, 1.0, "injected reducer fault"});
   ParallelEvalOptions opts = EvalOpts(3, 4);
-  opts.fault_injector = [](MapReduceTaskPhase phase, int task, int attempt) {
-    if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
-      return Status::Internal("injected mapper fault");
-    }
-    if (phase == MapReduceTaskPhase::kReduce && task == 2 && attempt == 1) {
-      return Status::Internal("injected reducer fault");
-    }
-    return Status::OK();
-  };
+  opts.fault_plan = &faults;
   Result<ParallelEvalResult> faulty = EvaluateParallel(wf, table, plan, opts);
   ASSERT_TRUE(faulty.ok()) << faulty.status();
   EXPECT_EQ(faulty->metrics.task_failures, 2);
@@ -279,11 +276,10 @@ TEST(ParallelEvalTest, PersistentFaultWithoutRetriesFailsCleanly) {
   Table table = GenerateUniformTable(schema, 1000, 4);
   ParallelEvalOptions opts = EvalOpts(2, 3);
   opts.max_task_attempts = 1;
-  opts.fault_injector = [](MapReduceTaskPhase phase, int task, int) {
-    return phase == MapReduceTaskPhase::kReduce && task == 1
-               ? Status::Internal("persistent reducer fault")
-               : Status::OK();
-  };
+  FaultPlan faults;
+  faults.Add(
+      FaultPlan::TaskCrash{"reduce", 1, -1, 1.0, "persistent reducer fault"});
+  opts.fault_plan = &faults;
   Result<ParallelEvalResult> result =
       EvaluateParallel(wf, table, DerivedPlan(wf, 1), opts);
   ASSERT_FALSE(result.ok());
