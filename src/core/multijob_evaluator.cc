@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -39,6 +41,61 @@ Status AnnotateJobError(const Status& s, const char* kind,
                               ") failed: " + s.message());
 }
 
+/// A job's result assembly for one measure: each reduce task fills its own
+/// shard without a lock (only the task's owning execution writes it) and
+/// flushes it into `out` once, at task end, through a disjoint merge — so
+/// a region produced twice fails the job with FailedPrecondition
+/// (distribution rule 2) instead of being dropped.
+class ShardedSink {
+ public:
+  ShardedSink(int measure, int num_reducers, MeasureValueMap* out)
+      : measure_(measure),
+        shards_(static_cast<size_t>(std::max(0, num_reducers))),
+        out_(out) {}
+
+  /// Adds one region's value to reducer `reducer`'s shard.
+  void Add(int reducer, Coords&& coords, double value) {
+    MeasureValueMap one;
+    one.emplace(std::move(coords), value);
+    Add(reducer, std::move(one));
+  }
+
+  /// Unions `values` into reducer `reducer`'s shard.
+  void Add(int reducer, MeasureValueMap&& values) {
+    Shard& shard = shards_[static_cast<size_t>(reducer)];
+    Status s = MergeDisjointValues(measure_, std::move(values), &shard.values);
+    if (!s.ok() && shard.first_error.ok()) shard.first_error = std::move(s);
+  }
+
+  /// The reduce_finish_fn: unions reducer `reducer`'s shard into `out`.
+  void Flush(int reducer) {
+    Shard& shard = shards_[static_cast<size_t>(reducer)];
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      Status s = shard.first_error;
+      if (s.ok()) {
+        s = MergeDisjointValues(measure_, std::move(shard.values), out_);
+      }
+      if (!s.ok() && first_error_.ok()) first_error_ = std::move(s);
+    }
+    shard.values = MeasureValueMap();  // free the emptied bucket array
+  }
+
+  /// The first rule-2 violation of the job; read after engine.Run().
+  const Status& status() const { return first_error_; }
+
+ private:
+  struct Shard {
+    MeasureValueMap values;
+    Status first_error;
+  };
+  int measure_;
+  std::vector<Shard> shards_;
+  std::mutex mu_;  // guards out_ and first_error_ across flushes
+  MeasureValueMap* out_;
+  Status first_error_;
+};
+
 /// Evaluates one basic measure with its own repartition-the-raw-data job.
 Status RunBasicJob(const Workflow& wf, int index, const Table& table,
                    const ParallelEvalOptions& options, MapReduceEngine* engine,
@@ -47,8 +104,8 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   const Measure& m = wf.measure(index);
   const int num_attrs = schema.num_attributes();
 
-  std::mutex mu;
-  MeasureValueMap& out = results->mutable_values(index);
+  ShardedSink sink(index, options.num_reducers,
+                   &results->mutable_values(index));
 
   MapReduceSpec spec;
   spec.num_mappers = options.num_mappers;
@@ -71,10 +128,10 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
       if ((i & 4095) == 0 && group.cancelled()) return;
       acc.Add(static_cast<double>(group.value(i)[0]));
     }
-    Coords coords(group.key(), group.key() + num_attrs);
-    std::unique_lock<std::mutex> lock(mu);
-    out.emplace(std::move(coords), acc.Result());
+    sink.Add(reducer, Coords(group.key(), group.key() + num_attrs),
+             acc.Result());
   };
+  spec.reduce_finish_fn = [&sink](int reducer) { sink.Flush(reducer); };
   TraceRecorder* const trace =
       options.trace != nullptr ? options.trace : TraceRecorder::Global();
   const bool tracing = trace->enabled();
@@ -89,6 +146,9 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   }
   if (!run.ok()) {
     return AnnotateJobError(run.status(), "basic", m.name, index);
+  }
+  if (!sink.status().ok()) {
+    return AnnotateJobError(sink.status(), "basic", m.name, index);
   }
   total->Accumulate(run.value());
   return Status::OK();
@@ -137,8 +197,8 @@ Status RunCompositeJob(const Workflow& wf, int index,
                       });
   const int64_t num_input = static_cast<int64_t>(input.size()) / row_width;
 
-  std::mutex mu;
-  MeasureValueMap& out = results->mutable_values(index);
+  ShardedSink sink(index, options.num_reducers,
+                   &results->mutable_values(index));
 
   MapReduceSpec spec;
   spec.num_mappers = options.num_mappers;
@@ -287,9 +347,9 @@ Status RunCompositeJob(const Workflow& wf, int index,
     }
 
     if (group.cancelled()) return;
-    std::unique_lock<std::mutex> lock(mu);
-    for (auto& [coords, value] : local) out.emplace(coords, value);
+    sink.Add(reducer, std::move(local));
   };
+  spec.reduce_finish_fn = [&sink](int reducer) { sink.Flush(reducer); };
   TraceRecorder* const trace =
       options.trace != nullptr ? options.trace : TraceRecorder::Global();
   const bool tracing = trace->enabled();
@@ -304,6 +364,9 @@ Status RunCompositeJob(const Workflow& wf, int index,
   }
   if (!run.ok()) {
     return AnnotateJobError(run.status(), "composite", m.name, index);
+  }
+  if (!sink.status().ok()) {
+    return AnnotateJobError(sink.status(), "composite", m.name, index);
   }
   total->Accumulate(run.value());
   return Status::OK();

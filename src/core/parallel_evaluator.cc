@@ -41,51 +41,85 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// One reduce task's share of a member's results. Only the execution that
+/// owns the task's output (the engine's ownership gate) ever writes it, so
+/// its blocks merge in without a lock; it is flushed into the member once,
+/// when the task ends.
+struct ReducerShard {
+  MeasureResultSet results;
+  LocalEvalStats local_stats;
+  Status first_error;
+  int64_t blocks = 0;
+  int64_t filtered = 0;
+};
+
 /// One member workflow of an evaluation pass: its local evaluation
-/// machinery and the result assembly its reducer blocks merge into.
+/// machinery, its per-reducer shards, and the result assembly the shards
+/// flush into.
 struct MemberRun {
   const Workflow* wf = nullptr;
   std::unique_ptr<SortScanEvaluator> local_eval;
   std::unique_ptr<LocalAggregator> local_agg;
+  std::vector<ReducerShard> shards;  // one per reducer, single writer each
 
-  std::mutex mu;  // guards everything below across reducer tasks
+  std::mutex mu;  // guards everything below across reduce-task flushes
   MeasureResultSet results;
   LocalEvalStats local_stats;
   Status first_error;
   int64_t blocks = 0;
   int64_t filtered = 0;
 
-  void Merge(MeasureResultSet&& block_results, const LocalEvalStats& stats,
-             int64_t filtered_here) {
-    std::unique_lock<std::mutex> lock(mu);
-    ++blocks;
-    filtered += filtered_here;
-    local_stats.Accumulate(stats);
-    Status s = results.MergeDisjoint(std::move(block_results));
-    if (!s.ok() && first_error.ok()) first_error = s;
+  /// Adds one block's owned results to reducer `reducer`'s shard; a
+  /// region the shard already holds violates rule 2.
+  void AddBlock(int reducer, MeasureResultSet&& kept,
+                const LocalEvalStats& stats, int64_t filtered_here) {
+    ReducerShard& shard = shards[static_cast<size_t>(reducer)];
+    ++shard.blocks;
+    shard.filtered += filtered_here;
+    shard.local_stats.Accumulate(stats);
+    if (shard.first_error.ok()) {
+      shard.first_error = shard.results.MergeDisjoint(std::move(kept));
+    }
+  }
+
+  /// Unions reducer `reducer`'s shard into the member's results: the one
+  /// lock acquisition of the task.
+  void Flush(int reducer) {
+    ReducerShard& shard = shards[static_cast<size_t>(reducer)];
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      blocks += shard.blocks;
+      filtered += shard.filtered;
+      local_stats.Accumulate(shard.local_stats);
+      Status s = shard.first_error;
+      if (s.ok()) s = results.MergeDisjoint(std::move(shard.results));
+      if (!s.ok() && first_error.ok()) first_error = s;
+    }
+    // The merge spliced the nodes out; free the emptied bucket arrays now
+    // rather than when the pass ends.
+    shard.results = MeasureResultSet();
   }
 };
 
-/// Drops results whose region the block does not own; returns the kept
-/// set and counts the dropped records.
-MeasureResultSet FilterOwned(const Workflow& wf,
-                             const std::vector<KeyGenAttr>& keygen,
-                             const int64_t* block, MeasureResultSet&& all,
-                             int64_t* filtered) {
+/// Erases, in place, the results whose region the block does not own;
+/// returns how many it dropped.
+int64_t FilterOwned(const Workflow& wf, const std::vector<KeyGenAttr>& keygen,
+                    const int64_t* block, MeasureResultSet* results) {
   const Schema& schema = *wf.schema();
-  MeasureResultSet kept(wf.num_measures());
+  int64_t filtered = 0;
   for (int i = 0; i < wf.num_measures(); ++i) {
     const Measure& m = wf.measure(i);
-    MeasureValueMap& out = kept.mutable_values(i);
-    for (auto& [coords, value] : all.mutable_values(i)) {
-      if (BlockOwnsRegion(schema, m, keygen, block, coords)) {
-        out.emplace(coords, value);
+    MeasureValueMap& values = results->mutable_values(i);
+    for (auto it = values.begin(); it != values.end();) {
+      if (BlockOwnsRegion(schema, m, keygen, block, it->first)) {
+        ++it;
       } else {
-        ++*filtered;
+        it = values.erase(it);
+        ++filtered;
       }
     }
   }
-  return kept;
+  return filtered;
 }
 
 }  // namespace
@@ -254,14 +288,15 @@ void ForEachRecordBlock(const Table& table,
 /// one schema: redistribute the table's records to blocks by the plan's
 /// distribution key (a record of an annotated key replicates to every
 /// block whose coverage contains it), evaluate every member inside each
-/// block, keep only the regions the block owns, and union the blocks'
-/// results per member. Raw-record plans evaluate each block with the
-/// members' local aggregation engines; early-aggregation plans ship and
-/// merge mapper-side partial states. Early aggregation and combined sort
-/// need exactly one member: the combiner and the framework sort order are
-/// per workflow. Callers validate the plan; `progress` and `query_label`
-/// are their resolved observability settings. Engine failures come back
-/// as "parallel evaluation failed: <engine message>".
+/// block, keep only the regions the block owns, union each reduce task's
+/// blocks into a lock-free per-reducer shard, and flush every shard into
+/// its member once, when the task ends. Raw-record plans evaluate each
+/// block with the members' local aggregation engines; early-aggregation
+/// plans ship and merge mapper-side partial states. Early aggregation and
+/// combined sort need exactly one member: the combiner and the framework
+/// sort order are per workflow. Callers validate the plan; `progress` and
+/// `query_label` are their resolved observability settings. Engine
+/// failures come back as "parallel evaluation failed: <engine message>".
 Result<SharedEvalResult> RunEvaluationPass(
     const std::vector<const Workflow*>& workflows, const Table& table,
     const ExecutionPlan& plan, const ParallelEvalOptions& options,
@@ -280,6 +315,8 @@ Result<SharedEvalResult> RunEvaluationPass(
   // default, it dispatches each reducer block to sort/scan, morsel or
   // radix aggregation. It shares its member's sort/scan plan, so RowLess
   // (combined sort) and the engines can never disagree on order.
+  const size_t num_reducers =
+      static_cast<size_t>(std::max(0, options.num_reducers));
   std::vector<MemberRun> members(workflows.size());
   for (size_t i = 0; i < members.size(); ++i) {
     MemberRun& m = members[i];
@@ -288,7 +325,14 @@ Result<SharedEvalResult> RunEvaluationPass(
     m.local_agg =
         MakeLocalAggregator(m.wf, m.local_eval.get(), options.local_agg);
     m.results = MeasureResultSet(m.wf->num_measures());
+    m.shards.resize(num_reducers);
+    for (ReducerShard& shard : m.shards) {
+      shard.results = MeasureResultSet(m.wf->num_measures());
+    }
   }
+  // Reducer r's block row buffer, shared by the members and reused across
+  // the task's blocks; like the shards, only r's owning execution uses it.
+  std::vector<std::vector<int64_t>> block_rows(num_reducers);
 
   MapReduceEngine engine(options.num_threads);
   MapReduceSpec spec;
@@ -377,8 +421,8 @@ Result<SharedEvalResult> RunEvaluationPass(
     // Every member reads the block's one row buffer in shuffle order: the
     // local engines take it as const, so no member sees another's work and
     // each computes exactly what a solo run of it would.
-    std::vector<int64_t> rows;
-    if (!plan.early_aggregation) rows = group.CopyValues();
+    std::vector<int64_t>& rows = block_rows[static_cast<size_t>(reducer)];
+    if (!plan.early_aggregation) group.CopyValuesInto(&rows);
     for (MemberRun& m : members) {
       LocalEvalStats stats;
       MeasureResultSet block_results;
@@ -398,18 +442,21 @@ Result<SharedEvalResult> RunEvaluationPass(
         ctx.expected_groups_hint = plan.predicted_block_groups;
         block_results = m.local_agg->Evaluate(ctx, &stats);
       }
-      // A cancelled attempt's partial results must never reach the sink;
+      // A cancelled attempt's partial results must never reach the shard;
       // the surrounding run is failing with Cancelled/DeadlineExceeded.
       if (group.cancelled()) return;
       if (options.phase != ParallelEvalPhase::kFull) {
-        m.Merge(MeasureResultSet(m.wf->num_measures()), stats, 0);
+        m.AddBlock(reducer, MeasureResultSet(m.wf->num_measures()), stats, 0);
         continue;
       }
-      int64_t filtered = 0;
-      MeasureResultSet kept = FilterOwned(*m.wf, keygen, group.key(),
-                                          std::move(block_results), &filtered);
-      m.Merge(std::move(kept), stats, filtered);
+      const int64_t filtered =
+          FilterOwned(*m.wf, keygen, group.key(), &block_results);
+      m.AddBlock(reducer, std::move(block_results), stats, filtered);
     }
+  };
+  spec.reduce_finish_fn = [&](int reducer) {
+    std::vector<int64_t>().swap(block_rows[static_cast<size_t>(reducer)]);
+    for (MemberRun& m : members) m.Flush(reducer);
   };
 
   const bool tracing = trace->enabled();

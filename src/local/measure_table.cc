@@ -19,18 +19,27 @@ int64_t MeasureResultSet::TotalResults() const {
   return total;
 }
 
+Status MergeDisjointValues(int measure, MeasureValueMap&& src,
+                           MeasureValueMap* dst) {
+  if (dst->empty()) {
+    dst->swap(src);
+    return Status::OK();
+  }
+  dst->merge(src);
+  if (!src.empty()) {
+    return Status::FailedPrecondition(
+        "duplicate result for measure " + std::to_string(measure) +
+        " (distribution rule 2 violated)");
+  }
+  return Status::OK();
+}
+
 Status MeasureResultSet::MergeDisjoint(MeasureResultSet&& other) {
   CASM_CHECK_EQ(num_measures(), other.num_measures());
   for (int m = 0; m < num_measures(); ++m) {
-    MeasureValueMap& dst = per_measure_[static_cast<size_t>(m)];
-    for (auto& [coords, value] : other.per_measure_[static_cast<size_t>(m)]) {
-      auto [it, inserted] = dst.emplace(coords, value);
-      if (!inserted) {
-        return Status::FailedPrecondition(
-            "duplicate result for measure " + std::to_string(m) +
-            " (distribution rule 2 violated)");
-      }
-    }
+    CASM_RETURN_IF_ERROR(MergeDisjointValues(
+        m, std::move(other.per_measure_[static_cast<size_t>(m)]),
+        &per_measure_[static_cast<size_t>(m)]));
   }
   return Status::OK();
 }

@@ -40,7 +40,8 @@ class MeasureResultSet {
 
   /// Moves `other`'s results in, failing with FailedPrecondition if any
   /// (measure, region) appears in both — this is how the evaluator enforces
-  /// the no-duplicate-results distribution rule.
+  /// the no-duplicate-results distribution rule. Nodes are spliced, not
+  /// copied (MergeDisjointValues); `other` is left unspecified.
   Status MergeDisjoint(MeasureResultSet&& other);
 
   /// Results of `measure` sorted by coordinates (for comparison and
@@ -50,6 +51,14 @@ class MeasureResultSet {
  private:
   std::vector<MeasureValueMap> per_measure_;
 };
+
+/// Splices every node of `src` into `dst` (std::unordered_map::merge: no
+/// key copy, no re-hash — CoordsHash is not noexcept, so libstdc++ caches
+/// each node's hash). A region already in `dst` stays behind in `src` and
+/// fails the merge with FailedPrecondition naming `measure` (distribution
+/// rule 2).
+Status MergeDisjointValues(int measure, MeasureValueMap&& src,
+                           MeasureValueMap* dst);
 
 /// Compares two result sets; returns FailedPrecondition describing the
 /// first mismatch if they differ by more than `tolerance` (relative, with

@@ -908,15 +908,13 @@ Status Emitter::GatherReducerRuns(int reducer,
   return Status::OK();
 }
 
-std::vector<int64_t> GroupView::CopyValues() const {
-  std::vector<int64_t> out;
+void GroupView::CopyValuesInto(std::vector<int64_t>* out) const {
   const int value_width = pair_width_ - key_width_;
-  out.reserve(static_cast<size_t>(count_) * static_cast<size_t>(value_width));
-  for (int64_t i = 0; i < count_; ++i) {
-    const int64_t* v = value(i);
-    out.insert(out.end(), v, v + value_width);
+  out->resize(static_cast<size_t>(count_) * static_cast<size_t>(value_width));
+  int64_t* dst = out->data();
+  for (int64_t i = 0; i < count_; ++i, dst += value_width) {
+    std::copy_n(value(i), value_width, dst);
   }
-  return out;
 }
 
 MapReduceEngine::MapReduceEngine(int num_threads) {
@@ -1371,6 +1369,23 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
         spec.reduce_fn(r, group);
       }
       begin = end;
+    }
+    if (!spec.skip_reduce && spec.reduce_finish_fn) {
+      if (token->cancelled()) {
+        rs.reduce_seconds += SecondsSince(reduce_start);
+        return token->status();
+      }
+      // A task with no groups claims its output here, through the same
+      // gate, so a speculating pair still flushes exactly once.
+      int expected = -1;
+      if (!owns_output && !runner.output_owner(r).compare_exchange_strong(
+                              expected, exec, std::memory_order_acq_rel)) {
+        rs.reduce_seconds += SecondsSince(reduce_start);
+        return Status::Cancelled(
+            "lost reduce output ownership to a concurrent attempt");
+      }
+      *output_started = true;
+      spec.reduce_finish_fn(r);
     }
     rs.groups = groups;
     rs.reduce_seconds += SecondsSince(reduce_start);

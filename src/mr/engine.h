@@ -20,10 +20,11 @@
 // replays the mapper's split from a cleared Emitter, so a run that
 // succeeds after retries produces output identical to a fault-free run.
 // A reduce attempt is retried only while it has not yet delivered a group
-// to `reduce_fn`; once user output has started, a failure is terminal
-// (delivered groups cannot be rolled back, and re-delivering them would
-// duplicate side effects). Exhausted retries surface as a clean `Status`
-// from Run() naming the phase and task — the process never dies.
+// to `reduce_fn` (or reached `reduce_finish_fn`); once user output has
+// started, a failure is terminal (delivered groups cannot be rolled back,
+// and re-delivering them would duplicate side effects). Exhausted retries
+// surface as a clean `Status` from Run() naming the phase and task — the
+// process never dies.
 //
 // Straggler resilience (the Hadoop defense the paper's evaluation leans
 // on — the response time is dominated by the heaviest reducer, §IV):
@@ -288,8 +289,10 @@ class GroupView {
     return base_ + i * pair_width_ + key_width_;
   }
 
-  /// Copies the values into a contiguous row-major buffer (stripping keys).
-  std::vector<int64_t> CopyValues() const;
+  /// Replaces `out`'s contents with the values as one contiguous row-major
+  /// buffer (keys stripped). Reusing `out` across groups keeps its
+  /// capacity, so a reducer copies its blocks without allocating per block.
+  void CopyValuesInto(std::vector<int64_t>* out) const;
 
   /// True when the delivering reduce attempt has been cancelled (e.g. the
   /// job deadline expired). Long reduce functions should poll this and
@@ -329,6 +332,16 @@ struct MapReduceSpec {
   /// exception fails the reduce task (terminal once any group of that
   /// task has been delivered — see the header comment).
   std::function<void(int reducer, const GroupView& group)> reduce_fn;
+
+  /// Optional end-of-task hook (Hadoop's Reducer.cleanup): invoked once per
+  /// reduce task, after its last reduce_fn call and on the same thread, by
+  /// the one execution that owns the task's output — a task with no groups
+  /// claims ownership here, so under speculation exactly one execution
+  /// calls it. Counts as delivered output (a failure after it is terminal)
+  /// and runs inside the task's reduce timing. Reducers use it to flush
+  /// per-task state without a lock per group. Never invoked under
+  /// map_only or skip_reduce.
+  std::function<void(int reducer)> reduce_finish_fn;
 
   /// Optional secondary sort: orders values within a key group (the
   /// combined-sort optimization of §III-D, where the framework sort also

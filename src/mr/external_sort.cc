@@ -20,13 +20,15 @@ namespace casm {
 namespace {
 
 /// Sorts a flat buffer of `count` rows of `width` int64s via an index
-/// permutation and materializes the permuted buffer.
+/// permutation and materializes the permuted buffer. The sort is stable:
+/// rows that compare equal keep their input order, so a key group's values
+/// arrive in map-output order whatever other keys share the buffer.
 std::vector<int64_t> SortFlat(std::vector<int64_t> records, int width,
                               const RecordLess& less) {
   const int64_t count = static_cast<int64_t>(records.size()) / width;
   std::vector<int64_t> order(static_cast<size_t>(count));
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     return less(records.data() + a * width, records.data() + b * width);
   });
   std::vector<int64_t> sorted;

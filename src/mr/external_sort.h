@@ -53,9 +53,9 @@ using RecordLess = std::function<bool(const int64_t*, const int64_t*)>;
 std::string SpillFilePath(const std::string& dir, const char* prefix,
                           uint64_t seq, const char* ext);
 
-/// In-memory sort of a flat buffer of `width`-int64 records by `less`
-/// (the run-formation step of the external sort, exposed for map-side
-/// spilling: the Emitter sorts each run by key before writing it).
+/// In-memory stable sort of a flat buffer of `width`-int64 records by
+/// `less` (the run-formation step of the external sort, exposed for
+/// map-side spilling: the Emitter sorts each run by key before writing it).
 std::vector<int64_t> SortRecords(std::vector<int64_t> records, int width,
                                  const RecordLess& less);
 

@@ -248,6 +248,19 @@ TEST(MeasureResultSetTest, MergeDisjointDetectsDuplicates) {
   ASSERT_TRUE(a.MergeDisjoint(std::move(b)).ok());
   EXPECT_EQ(a.TotalResults(), 2);
   EXPECT_FALSE(a.MergeDisjoint(std::move(c)).ok());
+
+  // A duplicate in the second measure still fails after the first
+  // measure merged cleanly.
+  MeasureResultSet d(2), e(2);
+  d.mutable_values(0).emplace(Coords{1}, 2.0);
+  d.mutable_values(1).emplace(Coords{5}, 4.0);
+  e.mutable_values(0).emplace(Coords{2}, 3.0);
+  e.mutable_values(1).emplace(Coords{6}, 1.0);
+  e.mutable_values(1).emplace(Coords{5}, 7.0);
+  Status dup = d.MergeDisjoint(std::move(e));
+  EXPECT_EQ(dup.code(), StatusCode::kFailedPrecondition) << dup.ToString();
+  EXPECT_NE(dup.message().find("measure 1"), std::string::npos)
+      << dup.ToString();
 }
 
 TEST(MeasureResultSetTest, CompareDetectsMismatches) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,12 +253,131 @@ TEST(EngineTest, GroupViewCopyValuesStripsKeys) {
   };
   std::vector<int64_t> copied;
   spec.reduce_fn = [&](int, const GroupView& group) {
-    copied = group.CopyValues();
+    group.CopyValuesInto(&copied);
   };
   ASSERT_TRUE(engine.Run(spec, 3).ok());
   ASSERT_EQ(copied.size(), 6u);
   std::set<int64_t> firsts = {copied[0], copied[2], copied[4]};
   EXPECT_EQ(firsts, (std::set<int64_t>{0, 1, 2}));
+}
+
+TEST(EngineTest, GroupViewCopyValuesIntoReusesOneBuffer) {
+  // Key 0 gets rows 0..4, key 1 gets rows 5..6: one buffer refilled by a
+  // five-value group and then a two-value group must hold exactly the
+  // second group's values, with no leftovers from the first.
+  MapReduceEngine engine(1);
+  MapReduceSpec spec;
+  spec.num_mappers = 1;
+  spec.num_reducers = 1;
+  spec.key_width = 1;
+  spec.value_width = 2;
+  spec.map_fn = [](int64_t begin, int64_t end, Emitter* emitter) {
+    for (int64_t i = begin; i < end; ++i) {
+      int64_t key = i < 5 ? 0 : 1;
+      int64_t value[2] = {i, -i};
+      emitter->Emit(&key, value);
+    }
+  };
+  std::vector<int64_t> buffer;
+  std::vector<std::multiset<int64_t>> seen;
+  spec.reduce_fn = [&](int, const GroupView& group) {
+    group.CopyValuesInto(&buffer);
+    ASSERT_EQ(buffer.size(), static_cast<size_t>(2 * group.size()));
+    std::multiset<int64_t> values(buffer.begin(), buffer.end());
+    seen.push_back(values);
+  };
+  ASSERT_TRUE(engine.Run(spec, 7).ok());
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], (std::multiset<int64_t>{0, 1, 2, 3, 4, 0, -1, -2, -3,
+                                             -4}));
+  EXPECT_EQ(seen[1], (std::multiset<int64_t>{5, 6, -5, -6}));
+  EXPECT_EQ(buffer.size(), 4u);
+}
+
+/// Records, per reducer, every reduce_fn thread and every reduce_finish_fn
+/// call, and checks the finish ordering as it happens.
+struct FinishProbe {
+  std::mutex mu;
+  std::vector<int> groups;
+  std::vector<int> finishes;
+  std::vector<std::thread::id> group_thread;
+  std::vector<int> groups_at_finish;
+  bool group_after_finish = false;
+  bool finish_on_other_thread = false;
+
+  void Attach(MapReduceSpec* spec) {
+    const size_t n = static_cast<size_t>(spec->num_reducers);
+    groups.assign(n, 0);
+    finishes.assign(n, 0);
+    group_thread.assign(n, std::thread::id());
+    groups_at_finish.assign(n, -1);
+    spec->reduce_fn = [this](int r, const GroupView&) {
+      std::unique_lock<std::mutex> lock(mu);
+      const size_t i = static_cast<size_t>(r);
+      if (finishes[i] > 0) group_after_finish = true;
+      ++groups[i];
+      group_thread[i] = std::this_thread::get_id();
+    };
+    spec->reduce_finish_fn = [this](int r) {
+      std::unique_lock<std::mutex> lock(mu);
+      const size_t i = static_cast<size_t>(r);
+      ++finishes[i];
+      groups_at_finish[i] = groups[i];
+      if (groups[i] > 0 && group_thread[i] != std::this_thread::get_id()) {
+        finish_on_other_thread = true;
+      }
+    };
+  }
+};
+
+MapReduceSpec ThreeKeySpec(int reducers) {
+  MapReduceSpec spec;
+  spec.num_mappers = 3;
+  spec.num_reducers = reducers;
+  spec.key_width = 1;
+  spec.value_width = 1;
+  spec.map_fn = [](int64_t begin, int64_t end, Emitter* emitter) {
+    for (int64_t i = begin; i < end; ++i) {
+      int64_t key = i % 3;
+      emitter->Emit(&key, &i);
+    }
+  };
+  return spec;
+}
+
+TEST(EngineTest, ReduceFinishRunsOncePerReducerAfterItsLastGroup) {
+  // Three keys over eight reducers: at least five reducers get no pairs,
+  // and each of them is still finished exactly once.
+  MapReduceEngine engine(4);
+  MapReduceSpec spec = ThreeKeySpec(8);
+  FinishProbe probe;
+  probe.Attach(&spec);
+  Result<MapReduceMetrics> metrics = engine.Run(spec, 300);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  int empty_reducers = 0;
+  for (int r = 0; r < 8; ++r) {
+    const size_t i = static_cast<size_t>(r);
+    EXPECT_EQ(probe.finishes[i], 1) << "reducer " << r;
+    EXPECT_EQ(probe.groups_at_finish[i], metrics->reducer_groups[i])
+        << "reducer " << r;
+    if (metrics->reducer_groups[i] == 0) ++empty_reducers;
+  }
+  EXPECT_GE(empty_reducers, 5);
+  EXPECT_FALSE(probe.group_after_finish);
+  EXPECT_FALSE(probe.finish_on_other_thread);
+}
+
+TEST(EngineTest, ReduceFinishNeverRunsUnderMapOnlyOrSkipReduce) {
+  for (bool map_only : {true, false}) {
+    MapReduceEngine engine(2);
+    MapReduceSpec spec = ThreeKeySpec(4);
+    spec.map_only = map_only;
+    spec.skip_reduce = !map_only;
+    spec.reduce_finish_fn = [](int) { FAIL() << "reduce_finish_fn ran"; };
+    Result<MapReduceMetrics> metrics = engine.Run(spec, 90);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(metrics->TotalGroups(), map_only ? 0 : 3);
+  }
 }
 
 TEST(PartitionHashTest, PowerOfTwoReducerCountsStayBalanced) {

@@ -130,6 +130,62 @@ TEST(StragglerTest, ReduceStragglerBackupDeliversEveryGroupExactlyOnce) {
   EXPECT_EQ(slow.deliveries, clean.deliveries);
 }
 
+TEST(StragglerTest, SpeculatedReduceTaskFinishesOnceByItsDeliveringExecution) {
+  // Thirteen keys over sixteen reducers leave some reducers empty. Slow
+  // the primary of one reducer with groups and of one without: each gets
+  // a backup, and each must still be finished exactly once — the groups'
+  // task by the execution (thread) that delivered them.
+  CountJob clean(4, 16);
+  Result<MapReduceMetrics> clean_metrics =
+      MapReduceEngine(4).Run(clean.spec, 1300);
+  ASSERT_TRUE(clean_metrics.ok()) << clean_metrics.status();
+  int busy = -1;
+  int idle = -1;
+  for (int r = 0; r < 16; ++r) {
+    const int64_t groups =
+        clean_metrics->reducer_groups[static_cast<size_t>(r)];
+    if (groups > 0 && busy < 0) busy = r;
+    if (groups == 0 && idle < 0) idle = r;
+  }
+  ASSERT_GE(busy, 0);
+  ASSERT_GE(idle, 0);
+
+  CountJob slow(4, 16);
+  slow.EnableSpeculation();
+  FaultPlan plan;
+  for (int task : {busy, idle}) {
+    for (int attempt = 1; attempt <= slow.spec.max_task_attempts; ++attempt) {
+      plan.Add(FaultPlan::TaskSlowdown{"reduce", task, attempt, 2.0});
+    }
+  }
+  slow.spec.fault_plan = &plan;
+  std::mutex mu;
+  std::vector<int> finishes(16, 0);
+  std::vector<std::thread::id> delivered_on(16);
+  std::vector<std::thread::id> finished_on(16);
+  auto inner = slow.spec.reduce_fn;
+  slow.spec.reduce_fn = [&](int reducer, const GroupView& group) {
+    inner(reducer, group);
+    std::unique_lock<std::mutex> lock(mu);
+    delivered_on[static_cast<size_t>(reducer)] = std::this_thread::get_id();
+  };
+  slow.spec.reduce_finish_fn = [&](int reducer) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++finishes[static_cast<size_t>(reducer)];
+    finished_on[static_cast<size_t>(reducer)] = std::this_thread::get_id();
+  };
+  Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(slow.spec, 1300);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_GE(metrics->speculative_wins, 2);
+  EXPECT_EQ(slow.sums, clean.sums);
+  for (int r = 0; r < 16; ++r) {
+    EXPECT_EQ(finishes[static_cast<size_t>(r)], 1) << "reducer " << r;
+  }
+  EXPECT_EQ(finished_on[static_cast<size_t>(busy)],
+            delivered_on[static_cast<size_t>(busy)]);
+  for (const auto& [key, count] : slow.deliveries) EXPECT_EQ(count, 1);
+}
+
 /// Charges `seconds_per_record` to every record of one task's *primary*
 /// execution (the speculative backup's attempt numbers continue past
 /// max_task_attempts and stay full speed) — the heterogeneous-hardware

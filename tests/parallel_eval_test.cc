@@ -6,6 +6,9 @@
 // handling, and shared evaluation's k-member runs against solo runs.
 // (Whole-paper-query exactness lives in integration_test.)
 
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
@@ -232,6 +235,41 @@ TEST(ParallelEvalTest, ManyVirtualReducersStillExact) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(CompareResultSets(expected, result->results, 1e-9).ok());
   EXPECT_EQ(static_cast<int>(result->metrics.reducer_pairs.size()), 64);
+}
+
+TEST(ParallelEvalTest, ReducerShardingNeverChangesAValue) {
+  // Each reduce task unions its blocks into its own shard and flushes it
+  // once; how the plan's blocks fall into shards (reducer count) and which
+  // threads run them must not move a single bit of the answer.
+  Table table = PaperUniformTable(2500, 4242);
+  for (PaperQuery query : {PaperQuery::kQ1, PaperQuery::kQ2, PaperQuery::kQ3,
+                           PaperQuery::kQ4, PaperQuery::kQ5,
+                           PaperQuery::kQ6}) {
+    Workflow wf = MakePaperQuery(query);
+    const ExecutionPlan plan = DerivedPlan(wf, 4);
+    MeasureResultSet expected = EvaluateReference(wf, table);
+    std::optional<MeasureResultSet> first;
+    for (int reducers : {1, 3, 8, 17}) {
+      for (int threads : {1, 4}) {
+        ParallelEvalOptions options = EvalOpts(3, reducers);
+        options.num_threads = threads;
+        const std::string what = std::string(PaperQueryName(query)) +
+                                 " reducers=" + std::to_string(reducers) +
+                                 " threads=" + std::to_string(threads);
+        Result<ParallelEvalResult> result =
+            EvaluateParallel(wf, table, plan, options);
+        ASSERT_TRUE(result.ok()) << what << ": " << result.status();
+        Status exact = CompareResultSets(expected, result->results, 1e-9);
+        EXPECT_TRUE(exact.ok()) << what << ": " << exact.ToString();
+        if (!first.has_value()) {
+          first = std::move(result->results);
+          continue;
+        }
+        Status same = CompareResultSets(*first, result->results, 0.0);
+        EXPECT_TRUE(same.ok()) << what << ": " << same.ToString();
+      }
+    }
+  }
 }
 
 TEST(ParallelEvalTest, EmptyTableYieldsEmptyResults) {
