@@ -86,6 +86,23 @@ void BM_PartitionHash(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionHash);
 
+// The region-key hash behind every result map and morsel partition pick,
+// at the paper schema's width.
+void BM_CoordsHash(benchmark::State& state) {
+  Table table = PaperUniformTable(1024, 7);
+  std::vector<Coords> keys;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    keys.emplace_back(table.row(r), table.row(r) + table.row_width());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CoordsHash()(keys[i]));
+    i = (i + 1) % keys.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoordsHash);
+
 void BM_AccumulatorAdd(benchmark::State& state) {
   AggregateFn fn = static_cast<AggregateFn>(state.range(0));
   Accumulator acc(fn);
@@ -148,9 +165,9 @@ BENCHMARK(BM_SortScanEvaluate)->Arg(1000)->Arg(10000);
 // near-unique cardinality the balance flips back to sort/scan; that end
 // of the ladder is bench/fig_localagg's fine rung.)
 // The third argument selects the group-by inner loop: -1 forces the
-// legacy row-at-a-time path (one RegionOfRecord heap allocation per row
-// per measure), 0 the columnar batch path (one transpose + one mapping
-// pass per (attribute, level) per batch). Same results either way — the
+// legacy row-at-a-time path (one RegionOfRecord per row per measure), 0
+// the columnar batch path (one transpose + one mapping pass per
+// (attribute, level) per batch). Same results either way — the
 // pair measures what batching buys.
 void BM_LocalAggEvaluate(benchmark::State& state) {
   SchemaPtr schema = PaperSchema();
@@ -193,6 +210,28 @@ BENCHMARK(BM_LocalAggEvaluate)
     ->Args({static_cast<int>(LocalAggEngine::kRadix), 120000, 0})
     ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 120000, -1})
     ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 120000, 0});
+
+// The reducer-block shape of the paper-mix workload: Q1 over blocks of
+// one or a few rows, default options (the evaluator's production path).
+// Per-block fixed costs dominate here, not per-row work.
+void BM_LocalAggEvaluateBlocks(benchmark::State& state) {
+  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
+  Table table = PaperUniformTable(4096, 11);
+  const int64_t block_rows = state.range(0);
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
+  LocalAggContext ctx;
+  ctx.n = block_rows;
+  LocalEvalStats stats;
+  int64_t begin = 0;
+  for (auto _ : state) {
+    ctx.rows = table.row(begin);
+    benchmark::DoNotOptimize(agg->Evaluate(ctx, &stats));
+    begin += block_rows;
+    if (begin + block_rows > table.num_rows()) begin = 0;
+  }
+  state.SetItemsProcessed(state.iterations() * block_rows);
+}
+BENCHMARK(BM_LocalAggEvaluateBlocks)->Arg(1)->Arg(8);
 
 // The map task's scan kernel, row against columnar: map every attribute
 // of each record to its key level. The row path calls MapFromFinest per

@@ -135,7 +135,7 @@ LocalAggEngine AdaptiveAggregator::Choose(const LocalAggContext& ctx,
   }
 
   // Too few rows per group (ratio high): the hash engines' per-row key
-  // hashing and allocation never earns itself back — sort/scan's
+  // hashing and node insertion never earn themselves back — sort/scan's
   // O(n log n) is cheaper all the way up to fully unique groups. Few
   // groups: they collapse inside the morsel engine's thread-local tables
   // with no partitioning pass. In between, radix partitioning keeps every

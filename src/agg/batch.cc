@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/math.h"
 #include "data/record_batch.h"
 
 namespace casm {
@@ -30,15 +31,7 @@ void FinestRegionHashColumns(const int64_t* const* mapped_cols,
       out[i] = h;
     }
   }
-  for (int64_t i = 0; i < n; ++i) {
-    uint64_t h = out[i];
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    out[i] = h;
-  }
+  for (int64_t i = 0; i < n; ++i) out[i] = Fmix64(out[i]);
 }
 
 RegionBatchMapper::RegionBatchMapper(const Schema* schema, int64_t capacity)

@@ -6,8 +6,7 @@
 // level) *mapped* coordinate columns on demand, each computed with one
 // Hierarchy::MapFromFinestColumn pass and cached for the batch — so a
 // workflow whose basics share levels maps each (attr, level) once per
-// batch instead of once per row per measure, and no per-row Coords
-// allocation happens at all until a group is first inserted.
+// batch instead of once per row per measure.
 
 #ifndef CASM_AGG_BATCH_H_
 #define CASM_AGG_BATCH_H_

@@ -56,7 +56,7 @@ class EarlyAggCombiner {
  private:
   struct VecHash {
     size_t operator()(const std::vector<int64_t>& v) const {
-      return CoordsHash()(v);
+      return static_cast<size_t>(HashCoordWords(v.data(), v.size()));
     }
   };
 

@@ -6,6 +6,7 @@
 
 #include "agg/engines.h"
 #include "common/logging.h"
+#include "common/math.h"
 #include "local/derivation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -169,6 +170,7 @@ void FinalizeAndDerive(const Workflow& wf,
                        MeasureResultSet* results) {
   for (size_t b = 0; b < basics.size(); ++b) {
     MeasureValueMap& out = results->mutable_values(basics[b].index);
+    out.reserve(acc[b].size());
     for (auto& [coords, accumulator] : acc[b]) {
       out.emplace(coords, accumulator.Result());
     }
@@ -191,12 +193,7 @@ uint64_t FinestRegionHash(const Schema& schema,
       h *= 1099511628211ULL;
     }
   }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
+  return Fmix64(h);
 }
 
 MeasureResultSet SortScanAggregator::DoEvaluate(const LocalAggContext& ctx,

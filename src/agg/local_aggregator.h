@@ -98,9 +98,12 @@ struct LocalAggOptions {
   int64_t morsel_rows = 4096;
   /// Thread-local hash-table entries (across measures) before a spill to
   /// the global hash partitions. Bounds per-worker memory regardless of
-  /// group cardinality.
+  /// group cardinality. Only a block split into several shards (a pool
+  /// and more than one morsel) spills; a single shard's table is the
+  /// block result and grows to the block's group count.
   int64_t max_local_entries = 1 << 15;
-  /// Global hash partitions (power of two).
+  /// Global hash partitions (power of two); used only with several
+  /// shards, like max_local_entries.
   int morsel_partitions = 64;
 
   // ---- Radix engine.
@@ -116,10 +119,12 @@ struct LocalAggOptions {
   /// Choose sort/scan when the projected distinct-group ratio (block-wide
   /// groups / rows, estimated from sample collisions and floored by the
   /// cost-model prior) reaches this fraction. Hash aggregation pays one
-  /// hashed, heap-allocated key per row and only earns it back when each
-  /// group collapses many rows; below ~1/ratio = 8 rows per group,
-  /// sort+stream's O(n log n) is cheaper. At the extreme (near-unique
-  /// groups, ratio -> 1) aggregation buys nothing at all.
+  /// hashed lookup per row and one table node per group and only earns
+  /// them back when each group collapses many rows; below ~1/ratio = 8
+  /// rows per group, sort+stream's O(n log n) is cheaper. At the extreme
+  /// (near-unique groups, ratio -> 1) aggregation buys nothing at all.
+  /// The cutoff was measured with heap-allocated region keys; re-measure
+  /// before relying on it (DESIGN.md §11).
   double sortscan_group_ratio = 0.125;
   /// Choose morsel when the projected block-wide distinct-group count is
   /// at most this (the groups collapse inside thread-local tables with no

@@ -6,7 +6,9 @@
 // spills its entries into global hash partitions selected by the group's
 // coordinate hash. Phase 2: each partition merges its spilled entries —
 // in fixed shard order, so results do not depend on thread scheduling —
-// and the union of the (disjoint) partitions is the block result.
+// and the union of the (disjoint) partitions is the block result. A
+// block that runs as one shard (no pool, or a single morsel) skips the
+// spill and phase 2: its one table is finalized directly.
 
 #include <algorithm>
 #include <chrono>
@@ -63,14 +65,15 @@ MeasureResultSet MorselAggregator::DoEvaluate(const LocalAggContext& ctx,
         num_morsels, 1, ctx.pool->num_threads()));
   }
 
-  // Phase 1: thread-local pre-aggregation, spilling full tables into the
-  // shard's partition buckets (appended, merged in phase 2).
+  // Phase 1: thread-local pre-aggregation. With several shards, full
+  // tables spill into the shard's partition buckets (appended, merged in
+  // phase 2); a single shard's table is the block result.
   //
   // Batch path (batch_cap > 0): each morsel is processed as columnar
   // sub-batches — one transpose plus one MapFromFinestColumn pass per
-  // (attribute, level) replaces a heap-allocating RegionOfRecord per row
-  // per measure; the per-row work shrinks to a scratch-Coords gather and
-  // the hash probe. Row and batch paths visit rows and measures in the
+  // (attribute, level) replaces a RegionOfRecord per row per measure;
+  // the per-row work shrinks to a scratch-Coords gather and the hash
+  // probe. Row and batch paths visit rows and measures in the
   // same order, so their results are bit-identical.
   // Capacity is clamped to the block size (reducer blocks are often far
   // smaller than the configured batch), and blocks under the
@@ -80,21 +83,19 @@ MeasureResultSet MorselAggregator::DoEvaluate(const LocalAggContext& ctx,
       ctx.n < options_.batch_min_block_rows
           ? 0
           : std::min({ResolveBatchRows(options_.batch_rows), morsel, ctx.n});
-  std::vector<std::vector<std::vector<SpilledGroup>>> shard_parts(
-      static_cast<size_t>(shards));
-  std::vector<int64_t> shard_batches(static_cast<size_t>(shards), 0);
-  auto run_shard = [&](size_t shard) {
-    std::vector<std::vector<SpilledGroup>>& parts =
-        shard_parts[shard];
-    parts.resize(partitions);
-    std::vector<AccMap> local(num_basics);
+  // Aggregates the shard's morsels into `local` and returns the batches it
+  // ran. With `parts` (several shards), a full table spills into the
+  // shard's partition buckets; with none, the table simply grows.
+  auto run_shard = [&](size_t shard, std::vector<AccMap>& local,
+                       std::vector<std::vector<SpilledGroup>>* parts) {
+    int64_t batches = 0;
     size_t local_entries = 0;
     auto spill_local = [&] {
       for (size_t b = 0; b < num_basics; ++b) {
         for (auto& [coords, acc] : local[b]) {
           const size_t p = CoordsHash()(coords) % partitions;
-          parts[p].push_back(SpilledGroup{static_cast<int32_t>(b), coords,
-                                          std::move(acc)});
+          (*parts)[p].push_back(SpilledGroup{static_cast<int32_t>(b), coords,
+                                             std::move(acc)});
         }
         local[b].clear();
       }
@@ -115,7 +116,7 @@ MeasureResultSet MorselAggregator::DoEvaluate(const LocalAggContext& ctx,
         for (int64_t bb = begin; bb < end; bb += batch_cap) {
           const int64_t bn = std::min(batch_cap, end - bb);
           mapper->Load(ctx.rows + bb * width, bn);
-          ++shard_batches[shard];
+          ++batches;
           for (size_t b = 0; b < num_basics; ++b) {
             mapper->GranularityColumns(*basics_[b].granularity,
                                        &gran_cols[b]);
@@ -124,11 +125,8 @@ MeasureResultSet MorselAggregator::DoEvaluate(const LocalAggContext& ctx,
             for (size_t b = 0; b < num_basics; ++b) {
               const BasicMeasure& info = basics_[b];
               RegionBatchMapper::FillCoords(gran_cols[b], i, &scratch);
-              auto it = local[b].find(scratch);
-              if (it == local[b].end()) {
-                it = local[b].emplace(scratch, Accumulator(info.fn)).first;
-                ++local_entries;
-              }
+              auto [it, inserted] = local[b].try_emplace(scratch, info.fn);
+              if (inserted) ++local_entries;
               it->second.Add(static_cast<double>(
                   mapper->raw_column(info.field)[i]));
             }
@@ -139,85 +137,94 @@ MeasureResultSet MorselAggregator::DoEvaluate(const LocalAggContext& ctx,
           const int64_t* row = ctx.rows + r * width;
           for (size_t b = 0; b < num_basics; ++b) {
             const BasicMeasure& info = basics_[b];
-            Coords coords = RegionOfRecord(schema, *info.granularity, row);
-            auto it = local[b].find(coords);
-            if (it == local[b].end()) {
-              it = local[b].emplace(std::move(coords), Accumulator(info.fn))
-                       .first;
-              ++local_entries;
-            }
+            auto [it, inserted] = local[b].try_emplace(
+                RegionOfRecord(schema, *info.granularity, row), info.fn);
+            if (inserted) ++local_entries;
             it->second.Add(static_cast<double>(row[info.field]));
           }
         }
       }
-      if (local_entries >= static_cast<size_t>(options_.max_local_entries)) {
+      if (parts != nullptr &&
+          local_entries >= static_cast<size_t>(options_.max_local_entries)) {
         spill_local();
       }
     }
-    spill_local();
+    if (parts != nullptr) spill_local();
+    return batches;
   };
+
+  int64_t agg_batches = 0;
   if (shards == 1) {
-    run_shard(0);
+    // One shard (every block the evaluator runs: it passes no pool): its
+    // table holds the block's final groups, so they are finalized straight
+    // into the result — no spill, partitions or merge.
+    std::vector<AccMap> local(num_basics);
+    agg_batches = run_shard(0, local, nullptr);
+    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
+    FinalizeAndDerive(*wf_, basics_, std::move(local), ctx.cancel, &results);
   } else {
+    std::vector<std::vector<std::vector<SpilledGroup>>> shard_parts(
+        static_cast<size_t>(shards),
+        std::vector<std::vector<SpilledGroup>>(partitions));
+    std::vector<int64_t> shard_batches(static_cast<size_t>(shards), 0);
     // Errors cannot happen in run_shard (no allocation failure handling
     // beyond bad_alloc, which ParallelFor surfaces as Status); a
     // cancellation mid-flight leaves partial shard output, which is fine
     // because the caller discards results once the token has tripped.
-    (void)ctx.pool->ParallelFor(static_cast<size_t>(shards), run_shard,
-                                ctx.cancel);
-  }
-  if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
+    (void)ctx.pool->ParallelFor(
+        static_cast<size_t>(shards),
+        [&](size_t shard) {
+          std::vector<AccMap> local(num_basics);
+          shard_batches[shard] = run_shard(shard, local, &shard_parts[shard]);
+        },
+        ctx.cancel);
+    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
+    for (int64_t batches : shard_batches) agg_batches += batches;
 
-  // Phase 2: merge each partition's spilled entries in shard order. The
-  // same coordinates always hash to the same partition, so partitions are
-  // disjoint per measure and merge independently (parallelizable without
-  // affecting merge order).
-  std::vector<std::vector<AccMap>> part_acc(partitions);
-  auto merge_partition = [&](size_t p) {
-    std::vector<AccMap>& maps = part_acc[p];
-    maps.resize(num_basics);
-    for (int s = 0; s < shards; ++s) {
-      for (SpilledGroup& g : shard_parts[static_cast<size_t>(s)][p]) {
-        AccMap& map = maps[static_cast<size_t>(g.slot)];
-        auto it = map.find(g.coords);
-        if (it == map.end()) {
-          map.emplace(std::move(g.coords), std::move(g.acc));
-        } else {
-          it->second.Merge(g.acc);
+    // Phase 2: merge each partition's spilled entries in shard order. The
+    // same coordinates always hash to the same partition, so partitions
+    // are disjoint per measure and merge independently (parallelizable
+    // without affecting merge order).
+    std::vector<std::vector<AccMap>> part_acc(partitions);
+    auto merge_partition = [&](size_t p) {
+      std::vector<AccMap>& maps = part_acc[p];
+      maps.resize(num_basics);
+      for (int s = 0; s < shards; ++s) {
+        for (SpilledGroup& g : shard_parts[static_cast<size_t>(s)][p]) {
+          AccMap& map = maps[static_cast<size_t>(g.slot)];
+          auto it = map.find(g.coords);
+          if (it == map.end()) {
+            map.emplace(std::move(g.coords), std::move(g.acc));
+          } else {
+            it->second.Merge(g.acc);
+          }
+        }
+      }
+    };
+    (void)ctx.pool->ParallelFor(partitions, merge_partition, ctx.cancel);
+    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
+
+    // The block result is the plain union of the (disjoint) partitions.
+    for (size_t b = 0; b < num_basics; ++b) {
+      MeasureValueMap& out = results.mutable_values(basics_[b].index);
+      size_t groups = 0;
+      for (size_t p = 0; p < partitions; ++p) {
+        groups += part_acc[p][b].size();
+      }
+      out.reserve(groups);
+      for (size_t p = 0; p < partitions; ++p) {
+        for (const auto& [coords, acc] : part_acc[p][b]) {
+          out.emplace(coords, acc.Result());
         }
       }
     }
-  };
-  if (ctx.pool == nullptr) {
-    for (size_t p = 0; p < partitions; ++p) {
-      if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
-      merge_partition(p);
-    }
-  } else {
-    (void)ctx.pool->ParallelFor(partitions, merge_partition, ctx.cancel);
-    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
+    DeriveComposites(*wf_, ctx.cancel, &results);
   }
-
-  // The block result is the plain union of the (disjoint) partitions.
-  for (size_t b = 0; b < num_basics; ++b) {
-    MeasureValueMap& out = results.mutable_values(basics_[b].index);
-    size_t groups = 0;
-    for (size_t p = 0; p < partitions; ++p) {
-      groups += part_acc[p][b].size();
-    }
-    out.reserve(groups);
-    for (size_t p = 0; p < partitions; ++p) {
-      for (const auto& [coords, acc] : part_acc[p][b]) {
-        out.emplace(coords, acc.Result());
-      }
-    }
-  }
-  DeriveComposites(*wf_, ctx.cancel, &results);
 
   if (stats != nullptr) {
     stats->records += ctx.n;
     stats->hashed_measures += static_cast<int64_t>(num_basics);
-    for (int64_t batches : shard_batches) stats->agg_batches += batches;
+    stats->agg_batches += agg_batches;
     stats->eval_seconds += SecondsSince(start);
   }
   return results;

@@ -39,6 +39,16 @@ constexpr int64_t FloorMod(int64_t a, int64_t b) {
   return r < 0 ? r + b : r;
 }
 
+/// MurmurHash3's 64-bit finalizer: a bijective full avalanche.
+constexpr uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 static_assert(FloorDiv(7, 2) == 3);
 static_assert(FloorDiv(-7, 2) == -4);
 static_assert(CeilDiv(7, 2) == 4);

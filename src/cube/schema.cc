@@ -2,6 +2,7 @@
 
 #include "cube/schema.h"
 
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,6 +12,12 @@ namespace casm {
 Result<Schema> Schema::Create(std::vector<Hierarchy> attributes) {
   if (attributes.empty()) {
     return Status::InvalidArgument("schema needs at least one attribute");
+  }
+  if (attributes.size() > static_cast<size_t>(kMaxAttributes)) {
+    return Status::InvalidArgument(
+        "schema has " + std::to_string(attributes.size()) +
+        " attributes; at most " + std::to_string(kMaxAttributes) +
+        " are supported");
   }
   for (size_t i = 0; i < attributes.size(); ++i) {
     if (attributes[i].name().empty()) {

@@ -19,8 +19,12 @@ namespace casm {
 /// Create once, pass around as `std::shared_ptr<const Schema>`.
 class Schema {
  public:
+  /// Widest schema accepted: region keys (Coords) hold this many
+  /// coordinates inline.
+  static constexpr int kMaxAttributes = 8;
+
   /// Builds a schema from attribute hierarchies. Attribute names must be
-  /// unique and non-empty.
+  /// unique and non-empty, and there may be at most kMaxAttributes.
   static Result<Schema> Create(std::vector<Hierarchy> attributes);
 
   int num_attributes() const { return static_cast<int>(attributes_.size()); }

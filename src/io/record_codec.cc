@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace casm {
@@ -117,8 +119,17 @@ Result<MeasureValueMap> DecodeMeasureValues(std::string_view bytes) {
   CASM_RETURN_IF_ERROR(cursor.ExpectMagic(kMapMagic));
   CASM_ASSIGN_OR_RETURN(uint32_t coord_width, cursor.ReadU32());
   CASM_ASSIGN_OR_RETURN(uint64_t count, cursor.ReadU64());
+  // Checked before anything is sized from it: a hostile width with
+  // count 0 would otherwise pass the size check below.
+  if (coord_width > Coords::kMaxSize) {
+    return Status::InvalidArgument("record codec: coordinate width " +
+                                   std::to_string(coord_width) +
+                                   " exceeds the supported maximum");
+  }
   const uint64_t entry_bytes = (static_cast<uint64_t>(coord_width) + 1) * 8;
-  if (cursor.remaining() != count * entry_bytes) {
+  // Divide rather than multiply: count * entry_bytes can wrap.
+  if (cursor.remaining() % entry_bytes != 0 ||
+      cursor.remaining() / entry_bytes != count) {
     return Status::InvalidArgument("record codec: payload size mismatch");
   }
   MeasureValueMap values;
@@ -152,6 +163,13 @@ Result<MeasureResultSet> DecodeMeasureResultSet(std::string_view bytes) {
   Cursor cursor(bytes);
   CASM_RETURN_IF_ERROR(cursor.ExpectMagic(kSetMagic));
   CASM_ASSIGN_OR_RETURN(uint32_t num_measures, cursor.ReadU32());
+  // Every measure needs at least its u64 payload size, so a count the
+  // bytes cannot hold is rejected before one map per measure is built.
+  if (num_measures > cursor.remaining() / 8 ||
+      num_measures > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument(
+        "record codec: measure count exceeds the payload");
+  }
   MeasureResultSet results(static_cast<int>(num_measures));
   for (uint32_t m = 0; m < num_measures; ++m) {
     CASM_ASSIGN_OR_RETURN(uint64_t size, cursor.ReadU64());

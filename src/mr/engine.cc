@@ -1194,21 +1194,15 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
 
   // On success: close the run's "job" span and digest this run's events
   // into the human-readable report carried by the metrics. The snapshot
-  // is filtered by time because the global recorder accumulates across
-  // runs in one process.
+  // copies only events ending after the run started, because the global
+  // recorder accumulates across runs in one process.
   auto finalize_trace = [&] {
     if (!tracing) return;
     trace->RecordSpan("job", "mr-run", trace_run_start, trace->NowSeconds(),
                       /*task=*/-1, /*attempt=*/0, TraceOutcome::kNone,
                       "mappers=" + std::to_string(num_mappers) +
                           " reducers=" + std::to_string(num_reducers));
-    std::vector<TraceEvent> events = trace->Snapshot();
-    events.erase(std::remove_if(events.begin(), events.end(),
-                                [&](const TraceEvent& ev) {
-                                  return ev.end_seconds() < trace_run_start;
-                                }),
-                 events.end());
-    RunReport report = BuildRunReport(events);
+    RunReport report = BuildRunReport(trace->Snapshot(trace_run_start));
     // Spans dropped *during this run* at the recorder's per-thread cap:
     // the delta against the run-start count, so one process running many
     // jobs does not re-report old losses.

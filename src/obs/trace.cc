@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -182,12 +184,19 @@ void TraceRecorder::RecordInstant(const char* category, std::string name,
 }
 
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
+  return Snapshot(-std::numeric_limits<double>::infinity());
+}
+
+std::vector<TraceEvent> TraceRecorder::Snapshot(double since_seconds) const {
   std::vector<TraceEvent> out;
   {
     std::unique_lock<std::mutex> registry_lock(registry_mu_);
     for (const std::unique_ptr<ThreadBuffer>& buf : buffers_) {
       std::unique_lock<std::mutex> lock(buf->mu);
-      out.insert(out.end(), buf->events.begin(), buf->events.end());
+      std::copy_if(buf->events.begin(), buf->events.end(),
+                   std::back_inserter(out), [&](const TraceEvent& ev) {
+                     return ev.end_seconds() >= since_seconds;
+                   });
     }
   }
   std::stable_sort(out.begin(), out.end(),

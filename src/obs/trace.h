@@ -134,6 +134,9 @@ class TraceRecorder {
   /// while other threads record (events recorded concurrently with the
   /// drain may or may not be included).
   std::vector<TraceEvent> Snapshot() const;
+  /// Like Snapshot(), but copies only events ending at or after
+  /// `since_seconds`, so a drain after one run of many skips the rest.
+  std::vector<TraceEvent> Snapshot(double since_seconds) const;
 
   /// Events dropped because a per-thread buffer hit its cap.
   int64_t dropped_events() const;

@@ -9,6 +9,7 @@
 // restored jobs appear only in the checkpoint_* counters, never in the
 // attempt histograms.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -142,6 +143,47 @@ TEST(RecordCodecTest, DecodeRejectsDamage) {
   bad_magic[0] = 'X';
   EXPECT_FALSE(DecodeMeasureValues(bad_magic).ok());
   EXPECT_FALSE(DecodeMeasureValues(bytes + "x").ok());
+}
+
+TEST(RecordCodecTest, DecodeRejectsHostileHeaders) {
+  // Header: magic, u32 coordinate width, u64 count (little-endian). Each
+  // case must fail before anything is sized from the header.
+  const std::string empty = EncodeMeasureValues(MeasureValueMap{});
+  ASSERT_EQ(empty.size(), 16u);
+  auto with_header = [&](uint32_t width, uint64_t count) {
+    std::string bytes = empty.substr(0, 4);
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<char>((width >> shift) & 0xffu));
+    }
+    for (int shift = 0; shift < 64; shift += 8) {
+      bytes.push_back(static_cast<char>((count >> shift) & 0xffu));
+    }
+    return bytes;
+  };
+  // A huge width with no entries passes the payload-size check.
+  Result<MeasureValueMap> huge = DecodeMeasureValues(with_header(~0u, 0));
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeMeasureValues(with_header(Coords::kMaxSize + 1, 0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // count * entry bytes wraps to 0 == the empty payload.
+  EXPECT_EQ(DecodeMeasureValues(with_header(0, uint64_t{1} << 61))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The widest supported width still decodes.
+  Result<MeasureValueMap> widest =
+      DecodeMeasureValues(with_header(Coords::kMaxSize, 0));
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_TRUE(widest->empty());
+
+  // A result set's u32 measure count must fit in the bytes that follow.
+  std::string set = EncodeMeasureResultSet(MeasureResultSet(0));
+  ASSERT_EQ(set.size(), 8u);
+  std::fill(set.begin() + 4, set.end(), '\xff');
+  EXPECT_EQ(DecodeMeasureResultSet(set).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RecordCodecTest, ResultSetRoundtrip) {

@@ -3,6 +3,9 @@
 // Unit tests for src/cube: hierarchies (numeric + nominal), schemas,
 // granularities and region arithmetic.
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cube/granularity.h"
@@ -128,6 +131,21 @@ TEST(SchemaTest, RejectsDuplicateNames) {
   EXPECT_FALSE(Schema::Create({}).ok());
 }
 
+TEST(SchemaTest, RejectsSchemasWiderThanRegionKeys) {
+  std::vector<Hierarchy> attrs;
+  for (int i = 0; i <= Schema::kMaxAttributes; ++i) {
+    attrs.push_back(Hierarchy::Numeric("A" + std::to_string(i), 100, {10},
+                                       {"unit", "ten"})
+                        .value());
+  }
+  Result<Schema> too_wide = Schema::Create(attrs);
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+  attrs.pop_back();
+  Result<Schema> widest = Schema::Create(attrs);
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ(widest->num_attributes(), Schema::kMaxAttributes);
+}
+
 TEST(GranularityTest, OfAndToString) {
   SchemaPtr schema = TestSchema();
   Granularity g =
@@ -200,11 +218,68 @@ TEST(RegionTest, CoordsToStringOmitsAll) {
   EXPECT_EQ(CoordsToString(*schema, g, coords), "[Time=1]");
 }
 
+TEST(RegionTest, CoordsHaveValueSemantics) {
+  Coords zeros(3);
+  EXPECT_EQ(zeros.size(), 3u);
+  EXPECT_EQ(zeros, (Coords{0, 0, 0}));
+  EXPECT_TRUE(Coords().empty());
+
+  const int64_t raw[] = {4, -2, 9};
+  Coords from_range(raw, raw + 3);
+  Coords from_list{4, -2, 9};
+  EXPECT_EQ(from_range, from_list);
+  EXPECT_EQ(std::vector<int64_t>(from_list.begin(), from_list.end()),
+            std::vector<int64_t>({4, -2, 9}));
+
+  Coords copy = from_list;
+  copy[1] = 5;
+  EXPECT_EQ(from_list[1], -2);  // the copy owns its coordinates
+  EXPECT_NE(copy, from_list);
+  EXPECT_EQ(copy, (Coords{4, 5, 9}));
+
+  // Lexicographic, like std::vector: first difference decides, and a
+  // proper prefix sorts first.
+  EXPECT_LT(from_list, copy);
+  EXPECT_FALSE(copy < from_list);
+  EXPECT_FALSE(copy < copy);
+  EXPECT_LT((Coords{4, -2}), from_list);
+  EXPECT_LT((Coords{-1, 100, 100}), (Coords{0, 0, 0}));
+  EXPECT_NE((Coords{0, 0}), (Coords{0, 0, 0}));
+}
+
 TEST(RegionTest, CoordsHashDistinguishesNeighbours) {
   CoordsHash hash;
   EXPECT_NE(hash(Coords{0, 0}), hash(Coords{0, 1}));
   EXPECT_NE(hash(Coords{1, 0}), hash(Coords{0, 1}));
   EXPECT_EQ(hash(Coords{5, 9}), hash(Coords{5, 9}));
+}
+
+TEST(RegionTest, CoordsHashSpreadsGridsOverMorselPartitions) {
+  // A 2-D grid is the typical region-key set of one block; the morsel
+  // engine picks partition hash % 64, so the low bits must spread it
+  // evenly — also when every coordinate shares its low bits (stride
+  // 1024), which defeats hashes without a final avalanche. 128 x 128
+  // keys = 256 per partition on average.
+  constexpr size_t kPartitions = 64;
+  constexpr int64_t kSide = 128;
+  const double mean =
+      static_cast<double>(kSide * kSide) / static_cast<double>(kPartitions);
+  for (int64_t stride : {1, 1024}) {
+    std::vector<int64_t> per_partition(kPartitions, 0);
+    for (int64_t x = 0; x < kSide; ++x) {
+      for (int64_t y = 0; y < kSide; ++y) {
+        const Coords key{x * stride, y * stride, 0, 0, 0, 0};
+        ++per_partition[CoordsHash()(key) % kPartitions];
+      }
+    }
+    // Binomial sd ~ 16 at this mean; +-25% of the mean is ~4 sd.
+    for (size_t p = 0; p < kPartitions; ++p) {
+      EXPECT_GE(per_partition[p], 0.75 * mean)
+          << "stride " << stride << " partition " << p;
+      EXPECT_LE(per_partition[p], 1.25 * mean)
+          << "stride " << stride << " partition " << p;
+    }
+  }
 }
 
 }  // namespace

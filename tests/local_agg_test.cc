@@ -183,6 +183,58 @@ TEST(LocalAggDifferentialTest, StressedEngineKnobsStayCorrect) {
   }
 }
 
+TEST(LocalAggDifferentialTest, MorselSerialPooledAndSortScanAgreeOnOneRowBlocks) {
+  // One-row blocks are the common reducer block on paper workloads; the
+  // serial morsel path finalizes its one table directly.
+  ThreadPool pool(4);
+  for (PaperQuery q : {PaperQuery::kQ1, PaperQuery::kQ5, PaperQuery::kQ6}) {
+    Workflow wf = MakePaperQuery(q);
+    Table table = PaperUniformTable(64, 71);
+    const int64_t width = table.row_width();
+    for (int64_t r = 0; r < table.num_rows(); ++r) {
+      std::vector<int64_t> block(table.row(r), table.row(r) + width);
+      MeasureResultSet sortscan =
+          RunEngine(wf, block, 1, LocalAggEngine::kSortScan, nullptr);
+      ASSERT_GT(sortscan.TotalResults(), 0);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        MeasureResultSet morsel =
+            RunEngine(wf, block, 1, LocalAggEngine::kMorsel, p);
+        Status match = CompareResultSets(sortscan, morsel, 1e-9);
+        EXPECT_TRUE(match.ok())
+            << PaperQueryName(q) << " row=" << r
+            << " pooled=" << (p != nullptr) << ": " << match.ToString();
+      }
+    }
+  }
+}
+
+TEST(LocalAggDifferentialTest, MorselSerialPooledAndSortScanAgreePastLocalTableBound) {
+  // More groups than max_local_entries: the pooled path spills and merges
+  // partitions, the serial path keeps one table that simply grows.
+  SchemaPtr schema = PaperSchema();
+  Workflow wf = LadderWorkflow(schema, /*rung=*/2);  // near-unique groups
+  Table table = PaperUniformTable(3000, 83);
+  std::vector<int64_t> rows = FlatRows(table);
+  LocalAggOptions options;
+  options.max_local_entries = 16;
+  options.morsel_rows = 128;  // several shards under the pool
+  MeasureResultSet sortscan = RunEngine(
+      wf, rows, table.num_rows(), LocalAggEngine::kSortScan, nullptr, options);
+  ASSERT_GT(sortscan.values(0).size(),
+            static_cast<size_t>(options.max_local_entries));
+  Status reference =
+      CompareResultSets(EvaluateReference(wf, table), sortscan, 1e-9);
+  ASSERT_TRUE(reference.ok()) << reference.ToString();
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    MeasureResultSet morsel = RunEngine(wf, rows, table.num_rows(),
+                                        LocalAggEngine::kMorsel, p, options);
+    Status match = CompareResultSets(sortscan, morsel, 1e-9);
+    EXPECT_TRUE(match.ok())
+        << "pooled=" << (p != nullptr) << ": " << match.ToString();
+  }
+}
+
 TEST(LocalAggDifferentialTest, AdaptiveMatchesUnderEveryForcedDecision) {
   // Drive the chooser into each branch by knob extremes; every decision
   // must still be correct (the chooser may only affect speed).

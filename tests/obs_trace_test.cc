@@ -153,6 +153,22 @@ TEST(TraceRecorderTest, RecordsSpansAndInstantsOrderedByStart) {
   EXPECT_TRUE(recorder.Snapshot().empty());
 }
 
+TEST(TraceRecorderTest, SnapshotSinceKeepsEventsEndingAtOrAfterIt) {
+  TraceRecorder recorder;
+  recorder.set_enabled(true);
+  recorder.RecordSpan("map", "old", 0.0, 1.0, 0, 1, TraceOutcome::kOk);
+  recorder.RecordSpan("map", "straddles", 0.5, 2.0, 1, 1, TraceOutcome::kOk);
+  recorder.RecordSpan("map", "edge", 1.0, 2.0, 2, 1, TraceOutcome::kOk);
+  recorder.RecordSpan("map", "new", 3.0, 4.0, 3, 1, TraceOutcome::kOk);
+  std::vector<TraceEvent> since = recorder.Snapshot(1.5);
+  ASSERT_EQ(since.size(), 3u);
+  EXPECT_EQ(since[0].name, "straddles");  // still ordered by start
+  EXPECT_EQ(since[1].name, "edge");
+  EXPECT_EQ(since[2].name, "new");
+  EXPECT_EQ(recorder.Snapshot(1.0).size(), 4u);  // ends exactly at 1.0
+  EXPECT_TRUE(recorder.Snapshot(5.0).empty());
+}
+
 TEST(TraceRecorderTest, ConcurrentEmissionFromManyThreads) {
   TraceRecorder recorder;
   recorder.set_enabled(true);
@@ -241,6 +257,22 @@ TEST(EngineTraceTest, DisabledRecorderLeavesRunUntraced) {
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_TRUE(job.trace.Snapshot().empty());
   EXPECT_TRUE(metrics->run_report_summary.empty());
+}
+
+TEST(EngineTraceTest, SecondRunReportCountsOnlyItsOwnSpans) {
+  TracedJob job;  // 3 mappers, 4 reducers, one recorder for both runs
+  ASSERT_TRUE(MapReduceEngine(2).Run(job.spec, 1300).ok());
+  const size_t first_run_events = job.trace.Snapshot().size();
+  Result<MapReduceMetrics> second = MapReduceEngine(2).Run(job.spec, 1300);
+  ASSERT_TRUE(second.ok()) << second.status();
+  // The recorder holds both runs; the report digests only the second.
+  EXPECT_GT(job.trace.Snapshot().size(), first_run_events);
+  EXPECT_NE(second->run_report_summary.find("map: 3 attempt(s)"),
+            std::string::npos)
+      << second->run_report_summary;
+  EXPECT_NE(second->run_report_summary.find("reduce: 4 attempt(s)"),
+            std::string::npos)
+      << second->run_report_summary;
 }
 
 TEST(EngineTraceTest, RecordsEveryAttemptOfInjectedFaultRunWithOutcomes) {
