@@ -70,9 +70,9 @@ int main() {
   }
   std::printf(
       "# combined-sort optimization (§III-D) removes the in-reducer re-sort:\n");
-  // Both arms pin the sort/scan engine: the adaptive chooser would send the
-  // separate-sorts arm to a hash engine, which never sorts, and the column
-  // would no longer show the re-sort that combined sort removes.
+  // Both arms pin sort/scan: by default the separate-sorts arm's unsorted
+  // blocks take the morsel path, which never sorts, and the column would
+  // no longer show the re-sort that combined sort removes.
   LocalAggOptions sortscan;
   sortscan.engine = LocalAggEngine::kSortScan;
   ExecutionPlan combined = plan;

@@ -1,28 +1,23 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Local aggregation engine ladder: evaluates one reducer-sized block with
-// each group-by engine (sortscan / morsel / radix) and with the adaptive
-// chooser, across a cardinality ladder (day/tier3 -> hour/tier2 ->
-// minute/value grouping) crossed with uniform and temporally skewed data.
-// The engines must produce identical results on every point (checked
-// in-process against the reference evaluator; a mismatch aborts), so the
-// ladder only measures speed — and the adaptive row should track the best
-// single engine within a few percent everywhere, which is the subsystem's
-// acceptance bar.
+// Local aggregation ladder: evaluates one reducer-sized block with
+// sort/scan and with the serial morsel path, across a cardinality ladder
+// (day/tier3 -> hour/tier2 -> minute/value grouping) crossed with uniform
+// and temporally skewed data. Both must produce identical results on
+// every point (checked in-process against the reference evaluator; a
+// mismatch aborts), so the ladder only measures speed — the evidence for
+// routing unsorted blocks to the morsel path (DESIGN.md §11).
 //
-// JSON (CASM_BENCH_JSON): one row per (point, engine) with the block's
-// row count, the best-of-reps wall seconds, and the per-engine block
-// counters — for the adaptive rows the counters record WHICH engine the
-// chooser dispatched (exactly one of localagg_sortscan/morsel/radix is 1).
+// JSON (CASM_BENCH_JSON): one row per (point, sortscan|morsel) with the
+// block's row count, the best-of-reps wall seconds, and the block
+// counters of the path that ran (localagg_sortscan / localagg_morsel).
 
-#include <algorithm>
+#include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "agg/local_aggregator.h"
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "local/reference_evaluator.h"
 
 int main() {
@@ -30,14 +25,11 @@ int main() {
   using namespace casm::bench;
 
   PrintHeader("local aggregation ladder",
-              "group-by engines vs adaptive chooser, cardinality x skew");
+              "sort/scan vs morsel, cardinality x skew");
   const int64_t rows = ScaledRows(120000);
   const int reps = 3;
-  const int threads = std::max(
-      2, std::min(8, static_cast<int>(std::thread::hardware_concurrency())));
-  ThreadPool pool(threads);
-  std::printf("# block=%lld rows, pool=%d threads, best of %d reps\n",
-              static_cast<long long>(rows), threads, reps);
+  std::printf("# block=%lld rows, serial, best of %d reps\n",
+              static_cast<long long>(rows), reps);
 
   SchemaPtr schema = PaperSchema();
   struct Rung {
@@ -48,13 +40,11 @@ int main() {
   const Rung rungs[] = {{"coarse", "tier3", "day"},
                         {"mid", "tier2", "hour"},
                         {"fine", "value", "minute"}};
-  const LocalAggEngine engines[] = {
-      LocalAggEngine::kSortScan, LocalAggEngine::kMorsel,
-      LocalAggEngine::kRadix, LocalAggEngine::kAdaptive};
+  const LocalAggEngine engines[] = {LocalAggEngine::kSortScan,
+                                    LocalAggEngine::kMorsel};
 
   std::vector<JsonRow> json;
-  std::printf("%-18s%12s%12s%12s%12s%12s\n", "point", "sortscan_s", "morsel_s",
-              "radix_s", "adaptive_s", "chosen");
+  std::printf("%-18s%12s%12s\n", "point", "sortscan_s", "morsel_s");
   for (const Rung& rung : rungs) {
     WorkflowBuilder b(schema);
     Granularity gran =
@@ -74,9 +64,8 @@ int main() {
       const std::string point =
           std::string(rung.name) + (skewed ? "_skewed" : "_uniform");
 
-      double seconds[4] = {0, 0, 0, 0};
-      std::string chosen = "-";
-      for (int e = 0; e < 4; ++e) {
+      double seconds[2] = {0, 0};
+      for (int e = 0; e < 2; ++e) {
         LocalAggOptions options;
         options.engine = engines[e];
         std::unique_ptr<LocalAggregator> agg =
@@ -84,7 +73,6 @@ int main() {
         LocalAggContext ctx;
         ctx.rows = table.data().data();
         ctx.n = table.num_rows();
-        ctx.pool = &pool;
 
         double best = 0;
         LocalEvalStats stats;
@@ -100,19 +88,14 @@ int main() {
             best = elapsed;
             stats = rep_stats;
           }
-          // Engine-identical results on every point: a silent divergence
-          // would make the speed comparison meaningless.
+          // Identical results on every point: a silent divergence would
+          // make the speed comparison meaningless.
           Status match = CompareResultSets(expected, got, 1e-7);
           CASM_CHECK(match.ok())
               << point << " engine=" << LocalAggEngineName(engines[e])
               << ": " << match.ToString();
         }
         seconds[e] = best;
-        if (engines[e] == LocalAggEngine::kAdaptive) {
-          chosen = stats.agg_blocks_radix > 0    ? "radix"
-                   : stats.agg_blocks_morsel > 0 ? "morsel"
-                                                 : "sortscan";
-        }
         JsonRow row;
         row.label = point + "/" + LocalAggEngineName(engines[e]);
         row.fields.emplace_back("rows", static_cast<double>(rows));
@@ -121,15 +104,10 @@ int main() {
                                 static_cast<double>(stats.agg_blocks_sortscan));
         row.fields.emplace_back("localagg_morsel",
                                 static_cast<double>(stats.agg_blocks_morsel));
-        row.fields.emplace_back("localagg_radix",
-                                static_cast<double>(stats.agg_blocks_radix));
-        row.fields.emplace_back("sampled_rows",
-                                static_cast<double>(stats.agg_sampled_rows));
         json.push_back(std::move(row));
       }
-      std::printf("%-18s%12.4f%12.4f%12.4f%12.4f%12s\n", point.c_str(),
-                  seconds[0], seconds[1], seconds[2], seconds[3],
-                  chosen.c_str());
+      std::printf("%-18s%12.4f%12.4f\n", point.c_str(), seconds[0],
+                  seconds[1]);
       std::fflush(stdout);
     }
   }

@@ -157,14 +157,12 @@ void BM_SortScanEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_SortScanEvaluate)->Arg(1000)->Arg(10000);
 
-// Local aggregation engine comparison at a high-cardinality (tier2/hour,
-// thousands of distinct groups) grouping — the regime where aggregation
-// still collapses rows but one sort of the whole block costs more than
-// hashing into group tables, so the morsel/radix engines beat the
-// sort/scan baseline and the adaptive chooser must track them. (At
-// near-unique cardinality the balance flips back to sort/scan; that end
-// of the ladder is bench/fig_localagg's fine rung.)
-// The third argument selects the group-by inner loop: -1 forces the
+// Local aggregation, sort/scan against the morsel path, at a
+// high-cardinality (tier2/hour, thousands of distinct groups) grouping —
+// the regime where aggregation still collapses rows but one sort of the
+// whole block costs more than hashing into group tables. (The rest of
+// the cardinality ladder is bench/fig_localagg.)
+// The third argument selects the morsel path's inner loop: -1 forces the
 // legacy row-at-a-time path (one RegionOfRecord per row per measure), 0
 // the columnar batch path (one transpose + one mapping pass per
 // (attribute, level) per batch). Same results either way — the
@@ -200,16 +198,9 @@ BENCHMARK(BM_LocalAggEvaluate)
     ->Args({static_cast<int>(LocalAggEngine::kSortScan), 20000, 0})
     ->Args({static_cast<int>(LocalAggEngine::kMorsel), 20000, -1})
     ->Args({static_cast<int>(LocalAggEngine::kMorsel), 20000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 20000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 20000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 20000, 0})
     ->Args({static_cast<int>(LocalAggEngine::kSortScan), 120000, 0})
     ->Args({static_cast<int>(LocalAggEngine::kMorsel), 120000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kMorsel), 120000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 120000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 120000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 120000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 120000, 0});
+    ->Args({static_cast<int>(LocalAggEngine::kMorsel), 120000, 0});
 
 // The reducer-block shape of the paper-mix workload: Q1 over blocks of
 // one or a few rows, default options (the evaluator's production path).

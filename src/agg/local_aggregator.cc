@@ -2,21 +2,28 @@
 
 #include "agg/local_aggregator.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <chrono>
+#include <unordered_map>
 
-#include "agg/engines.h"
+#include "agg/batch.h"
 #include "common/logging.h"
-#include "common/math.h"
 #include "local/derivation.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace casm {
 namespace {
 
-/// Per-engine block counter family, resolved once per engine label.
-/// Increment() is self-guarded, so a disabled registry costs one relaxed
-/// load per evaluated block.
+using AccMap = std::unordered_map<Coords, Accumulator, CoordsHash>;
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Block counter of one path, resolved once. Increment() is self-guarded,
+/// so a disabled registry costs one relaxed load per evaluated block.
 MetricsRegistry::Counter* AggBlocksCounter(LocalAggEngine engine) {
   static MetricsRegistry::Counter* const sortscan =
       MetricsRegistry::Global()->GetCounter(
@@ -28,22 +35,7 @@ MetricsRegistry::Counter* AggBlocksCounter(LocalAggEngine engine) {
           "casm_localagg_blocks_total",
           "Reducer blocks evaluated, by local aggregation engine.",
           {{"engine", "morsel"}});
-  static MetricsRegistry::Counter* const radix =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_localagg_blocks_total",
-          "Reducer blocks evaluated, by local aggregation engine.",
-          {{"engine", "radix"}});
-  switch (engine) {
-    case LocalAggEngine::kSortScan:
-      return sortscan;
-    case LocalAggEngine::kMorsel:
-      return morsel;
-    case LocalAggEngine::kRadix:
-      return radix;
-    case LocalAggEngine::kAdaptive:
-      break;
-  }
-  return nullptr;
+  return engine == LocalAggEngine::kSortScan ? sortscan : morsel;
 }
 
 }  // namespace
@@ -54,10 +46,6 @@ const char* LocalAggEngineName(LocalAggEngine engine) {
       return "sortscan";
     case LocalAggEngine::kMorsel:
       return "morsel";
-    case LocalAggEngine::kRadix:
-      return "radix";
-    case LocalAggEngine::kAdaptive:
-      return "adaptive";
   }
   return "unknown";
 }
@@ -65,49 +53,128 @@ const char* LocalAggEngineName(LocalAggEngine engine) {
 Result<LocalAggEngine> ParseLocalAggEngine(const std::string& name) {
   if (name == "sortscan") return LocalAggEngine::kSortScan;
   if (name == "morsel") return LocalAggEngine::kMorsel;
-  if (name == "radix") return LocalAggEngine::kRadix;
-  if (name == "adaptive") return LocalAggEngine::kAdaptive;
-  return Status::InvalidArgument(
-      "unknown local aggregation engine '" + name +
-      "' (expected sortscan, morsel, radix or adaptive)");
+  return Status::InvalidArgument("unknown local aggregation engine '" + name +
+                                 "' (expected sortscan or morsel)");
 }
 
-LocalAggEngine LocalAggEngineFromEnv() {
-  const char* env = std::getenv("CASM_LOCAL_AGG");
-  if (env == nullptr || *env == '\0') return LocalAggEngine::kAdaptive;
-  Result<LocalAggEngine> parsed = ParseLocalAggEngine(env);
-  return parsed.ok() ? parsed.value() : LocalAggEngine::kAdaptive;
+LocalAggregator::LocalAggregator(const Workflow* wf,
+                                 const SortScanEvaluator* sortscan,
+                                 const LocalAggOptions& options)
+    : wf_(wf), sortscan_(sortscan), options_(options) {
+  CASM_CHECK(wf != nullptr);
+  if (sortscan_ == nullptr) {
+    owned_sortscan_ = std::make_unique<SortScanEvaluator>(wf);
+    sortscan_ = owned_sortscan_.get();
+  }
+  for (int i : wf->BasicMeasures()) {
+    const Measure& m = wf->measure(i);
+    basics_.push_back(BasicMeasure{i, m.fn, m.field, &m.granularity});
+  }
 }
 
 MeasureResultSet LocalAggregator::Evaluate(const LocalAggContext& ctx,
                                            LocalEvalStats* stats) const {
-  const bool tracing = ctx.trace != nullptr && ctx.trace->enabled();
-  const double start = tracing ? ctx.trace->NowSeconds() : 0;
-  LocalAggEngine chosen = engine();
-  MeasureResultSet results = DoEvaluate(ctx, stats, &chosen);
+  const LocalAggEngine path =
+      ctx.assume_sorted || ctx.phase == LocalEvalPhase::kSortOnly
+          ? LocalAggEngine::kSortScan
+          : options_.engine;
   if (stats != nullptr) {
-    switch (chosen) {
-      case LocalAggEngine::kSortScan:
-        ++stats->agg_blocks_sortscan;
-        break;
-      case LocalAggEngine::kMorsel:
-        ++stats->agg_blocks_morsel;
-        break;
-      case LocalAggEngine::kRadix:
-        ++stats->agg_blocks_radix;
-        break;
-      case LocalAggEngine::kAdaptive:
-        break;  // the chooser always resolves to a concrete engine
+    ++(path == LocalAggEngine::kSortScan ? stats->agg_blocks_sortscan
+                                         : stats->agg_blocks_morsel);
+  }
+  AggBlocksCounter(path)->Increment();
+  if (path == LocalAggEngine::kMorsel) return EvaluateMorsel(ctx, stats);
+  return sortscan_->Evaluate(ctx.rows, ctx.n, ctx.assume_sorted, ctx.phase,
+                             stats, ctx.cancel);
+}
+
+MeasureResultSet LocalAggregator::EvaluateMorsel(const LocalAggContext& ctx,
+                                                 LocalEvalStats* stats) const {
+  const auto start = std::chrono::steady_clock::now();
+  MeasureResultSet results(wf_->num_measures());
+  const Schema& schema = *wf_->schema();
+  const int width = schema.num_attributes();
+  const size_t num_basics = basics_.size();
+  const int64_t morsel = std::max<int64_t>(1, options_.morsel_rows);
+  // Batch path (batch_cap > 0): each morsel is processed as columnar
+  // sub-batches — one transpose plus one MapFromFinestColumn pass per
+  // (attribute, level) replaces a RegionOfRecord per row per measure; the
+  // per-row work shrinks to a scratch-Coords gather and the hash probe.
+  // Row and batch paths visit rows and measures in the same order, so
+  // their results are bit-identical. Capacity is clamped to the block
+  // size (reducer blocks are often far smaller than the configured
+  // batch), and blocks under the batch_min_block_rows cutoff skip
+  // batching entirely: the mapper's fixed setup would cost more than the
+  // rows themselves.
+  const int64_t batch_cap =
+      ctx.n < options_.batch_min_block_rows
+          ? 0
+          : std::min({agg_internal::ResolveBatchRows(options_.batch_rows),
+                      morsel, ctx.n});
+  std::vector<AccMap> acc(num_basics);
+  int64_t batches = 0;
+  std::unique_ptr<agg_internal::RegionBatchMapper> mapper;
+  std::vector<std::vector<const int64_t*>> gran_cols(num_basics);
+  Coords scratch(static_cast<size_t>(width));
+  if (batch_cap > 0) {
+    mapper = std::make_unique<agg_internal::RegionBatchMapper>(&schema,
+                                                               batch_cap);
+  }
+  for (int64_t begin = 0; begin < ctx.n; begin += morsel) {
+    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return results;
+    const int64_t end = std::min(ctx.n, begin + morsel);
+    if (batch_cap > 0) {
+      for (int64_t bb = begin; bb < end; bb += batch_cap) {
+        const int64_t bn = std::min(batch_cap, end - bb);
+        mapper->Load(ctx.rows + bb * width, bn);
+        ++batches;
+        for (size_t b = 0; b < num_basics; ++b) {
+          mapper->GranularityColumns(*basics_[b].granularity, &gran_cols[b]);
+        }
+        for (int64_t i = 0; i < bn; ++i) {
+          for (size_t b = 0; b < num_basics; ++b) {
+            const BasicMeasure& info = basics_[b];
+            agg_internal::RegionBatchMapper::FillCoords(gran_cols[b], i,
+                                                        &scratch);
+            acc[b].try_emplace(scratch, info.fn).first->second.Add(
+                static_cast<double>(mapper->raw_column(info.field)[i]));
+          }
+        }
+      }
+    } else {
+      for (int64_t r = begin; r < end; ++r) {
+        const int64_t* row = ctx.rows + r * width;
+        for (size_t b = 0; b < num_basics; ++b) {
+          const BasicMeasure& info = basics_[b];
+          acc[b].try_emplace(RegionOfRecord(schema, *info.granularity, row),
+                             info.fn)
+              .first->second.Add(static_cast<double>(row[info.field]));
+        }
+      }
     }
   }
-  if (MetricsRegistry::Counter* counter = AggBlocksCounter(chosen)) {
-    counter->Increment();
+
+  // The tables hold the block's final groups: finalize them straight into
+  // the result, then derive the composites in dependency order.
+  for (size_t b = 0; b < num_basics; ++b) {
+    MeasureValueMap& out = results.mutable_values(basics_[b].index);
+    out.reserve(acc[b].size());
+    for (auto& [coords, accumulator] : acc[b]) {
+      out.emplace(coords, accumulator.Result());
+    }
   }
-  if (tracing) {
-    ctx.trace->RecordSpan("localagg", LocalAggEngineName(chosen), start,
-                          ctx.trace->NowSeconds(), ctx.task, /*attempt=*/0,
-                          TraceOutcome::kNone,
-                          "rows=" + std::to_string(ctx.n));
+  for (int i = 0; i < wf_->num_measures(); ++i) {
+    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) break;
+    if (wf_->measure(i).op != MeasureOp::kAggregateRecords) {
+      DeriveCompositeMeasure(*wf_, i, &results);
+    }
+  }
+
+  if (stats != nullptr) {
+    stats->records += ctx.n;
+    stats->hashed_measures += static_cast<int64_t>(num_basics);
+    stats->agg_batches += batches;
+    stats->eval_seconds += SecondsSince(start);
   }
   return results;
 }
@@ -115,94 +182,7 @@ MeasureResultSet LocalAggregator::Evaluate(const LocalAggContext& ctx,
 std::unique_ptr<LocalAggregator> MakeLocalAggregator(
     const Workflow* wf, const SortScanEvaluator* sortscan,
     const LocalAggOptions& options) {
-  CASM_CHECK(wf != nullptr);
-  std::unique_ptr<const SortScanEvaluator> owned;
-  if (sortscan == nullptr) {
-    owned = std::make_unique<SortScanEvaluator>(wf);
-    sortscan = owned.get();
-  }
-  std::unique_ptr<LocalAggregator> out;
-  switch (options.engine) {
-    case LocalAggEngine::kSortScan:
-      out = std::make_unique<agg_internal::SortScanAggregator>(wf, sortscan);
-      break;
-    case LocalAggEngine::kMorsel:
-      out = std::make_unique<agg_internal::MorselAggregator>(wf, options);
-      break;
-    case LocalAggEngine::kRadix:
-      out = std::make_unique<agg_internal::RadixAggregator>(wf, sortscan,
-                                                            options);
-      break;
-    case LocalAggEngine::kAdaptive:
-      out = std::make_unique<agg_internal::AdaptiveAggregator>(wf, sortscan,
-                                                               options);
-      break;
-  }
-  out->owned_sortscan_ = std::move(owned);
-  return out;
+  return std::make_unique<LocalAggregator>(wf, sortscan, options);
 }
 
-namespace agg_internal {
-
-std::vector<BasicMeasure> CollectBasics(const Workflow& wf) {
-  std::vector<BasicMeasure> basics;
-  for (int i : wf.BasicMeasures()) {
-    const Measure& m = wf.measure(i);
-    basics.push_back(BasicMeasure{i, m.fn, m.field, &m.granularity});
-  }
-  return basics;
-}
-
-void DeriveComposites(const Workflow& wf, const CancellationToken* cancel,
-                      MeasureResultSet* results) {
-  for (int i = 0; i < wf.num_measures(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) return;
-    if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
-      DeriveCompositeMeasure(wf, i, results);
-    }
-  }
-}
-
-void FinalizeAndDerive(const Workflow& wf,
-                       const std::vector<BasicMeasure>& basics,
-                       std::vector<AccMap>&& acc,
-                       const CancellationToken* cancel,
-                       MeasureResultSet* results) {
-  for (size_t b = 0; b < basics.size(); ++b) {
-    MeasureValueMap& out = results->mutable_values(basics[b].index);
-    out.reserve(acc[b].size());
-    for (auto& [coords, accumulator] : acc[b]) {
-      out.emplace(coords, accumulator.Result());
-    }
-  }
-  DeriveComposites(wf, cancel, results);
-}
-
-uint64_t FinestRegionHash(const Schema& schema,
-                          const std::vector<int>& attr_order,
-                          const std::vector<LevelId>& sort_levels,
-                          const int64_t* row) {
-  // FNV-1a over the mapped sort-level values, finished with an avalanche
-  // (fmix64) so the radix engine can take low bits as the partition id.
-  uint64_t h = 1469598103934665603ULL;
-  for (int attr : attr_order) {
-    const uint64_t v = static_cast<uint64_t>(schema.attribute(attr).MapFromFinest(
-        row[attr], sort_levels[static_cast<size_t>(attr)]));
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (v >> shift) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-  }
-  return Fmix64(h);
-}
-
-MeasureResultSet SortScanAggregator::DoEvaluate(const LocalAggContext& ctx,
-                                                LocalEvalStats* stats,
-                                                LocalAggEngine* chosen) const {
-  (void)chosen;
-  return sortscan_->Evaluate(ctx.rows, ctx.n, ctx.assume_sorted, ctx.phase,
-                             stats, ctx.cancel);
-}
-
-}  // namespace agg_internal
 }  // namespace casm

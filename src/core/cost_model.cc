@@ -146,15 +146,6 @@ int64_t OptimalClusteringFactor(int64_t num_records, int64_t n_g, int64_t d,
   return best;
 }
 
-double ExpectedDistinctGroups(double records, double domain) {
-  if (records <= 0 || domain <= 0) return 0;
-  if (domain <= 1) return 1;
-  // domain * (1 - (1 - 1/domain)^records), stable at large domains:
-  // (1 - 1/domain)^records = exp(records * log1p(-1/domain)).
-  const double expected = domain * -std::expm1(records * std::log1p(-1.0 / domain));
-  return std::min(expected, std::min(records, domain));
-}
-
 double SimulatedMaxReducerLoad(double total_records, int64_t num_blocks,
                                int m, int trials, uint64_t seed) {
   CASM_CHECK_GE(m, 1);

@@ -48,15 +48,6 @@ int64_t OptimalClusteringFactor(int64_t num_records, int64_t n_g, int64_t d,
 double SimulatedMaxReducerLoad(double total_records, int64_t num_blocks, int m,
                                int trials, uint64_t seed);
 
-/// Expected number of distinct values observed when `records` draws are
-/// made uniformly at random from a domain of `domain` values:
-///   domain * (1 - (1 - 1/domain)^records),
-/// computed as domain * -expm1(records * log1p(-1/domain)) for numerical
-/// stability at large domains. Non-positive records or domain return 0.
-/// The optimizer uses it to predict per-block distinct groups, the prior
-/// the adaptive local aggregator blends with its first-morsel sample.
-double ExpectedDistinctGroups(double records, double domain);
-
 }  // namespace casm
 
 #endif  // CASM_CORE_COST_MODEL_H_

@@ -24,25 +24,8 @@ DistributionKey RollUpAnnotated(const Schema& schema,
   return out;
 }
 
-/// Product over attributes of the value count at the finest level any
-/// measure groups by: the domain of the local algorithm's finest-
-/// granularity groups (SortScanEvaluator's sort levels).
-double FinestRegionDomain(const Workflow& wf) {
-  const Schema& schema = *wf.schema();
-  double domain = 1;
-  for (int a = 0; a < schema.num_attributes(); ++a) {
-    LevelId finest = schema.attribute(a).all_level();
-    for (const Measure& m : wf.measures()) {
-      finest = std::min(finest, m.granularity.level(a));
-    }
-    domain *= static_cast<double>(schema.attribute(a).LevelValueCount(finest));
-  }
-  return domain;
-}
-
 ExecutionPlan MakePlan(const Schema& schema, const OptimizerOptions& options,
-                       DistributionKey key, int64_t cf,
-                       double finest_regions) {
+                       DistributionKey key, int64_t cf) {
   ExecutionPlan plan;
   plan.key = std::move(key);
   plan.clustering_factor = cf;
@@ -53,16 +36,6 @@ ExecutionPlan MakePlan(const Schema& schema, const OptimizerOptions& options,
   plan.predicted_max_load =
       OverlappingMaxLoad(options.num_records, n_g, d, options.num_reducers,
                          cf);
-  // Per-block priors for the adaptive local aggregator: each of the
-  // n_g / cf blocks receives N (d + cf) / n_g records drawn from the
-  // finest-region domain's slice owned by the block.
-  const double blocks =
-      std::max(1.0, static_cast<double>(n_g) / static_cast<double>(cf));
-  plan.predicted_block_records = static_cast<double>(options.num_records) *
-                                 static_cast<double>(d + cf) /
-                                 std::max(1.0, static_cast<double>(n_g));
-  plan.predicted_block_groups = ExpectedDistinctGroups(
-      plan.predicted_block_records, std::max(1.0, finest_regions / blocks));
   return plan;
 }
 
@@ -93,12 +66,11 @@ Result<std::vector<ExecutionPlan>> CandidatePlans(
 
   std::vector<ExecutionPlan> plans;
   const std::vector<int> annotated = minimal.AnnotatedAttributes();
-  const double finest_regions = FinestRegionDomain(wf);
 
   if (annotated.empty()) {
     // Theorem 2 territory: the minimal key (the LCA of the measure
     // granularities) is optimal under uniform data; no clustering applies.
-    plans.push_back(MakePlan(schema, options, minimal, 1, finest_regions));
+    plans.push_back(MakePlan(schema, options, minimal, 1));
     return plans;
   }
 
@@ -129,13 +101,13 @@ Result<std::vector<ExecutionPlan>> CandidatePlans(
     std::sort(factors.begin(), factors.end());
     factors.erase(std::unique(factors.begin(), factors.end()), factors.end());
     for (int64_t cf : factors) {
-      plans.push_back(MakePlan(schema, options, key, cf, finest_regions));
+      plans.push_back(MakePlan(schema, options, key, cf));
     }
   }
 
   // Fallback: every annotated attribute rolled up (non-overlapping).
   DistributionKey rolled = RollUpAnnotated(schema, minimal, /*keep=*/-1);
-  plans.push_back(MakePlan(schema, options, rolled, 1, finest_regions));
+  plans.push_back(MakePlan(schema, options, rolled, 1));
 
   for (const ExecutionPlan& plan : plans) {
     CASM_RETURN_IF_ERROR(poll_cancel());

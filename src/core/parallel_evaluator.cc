@@ -311,10 +311,10 @@ Result<SharedEvalResult> RunEvaluationPass(
   TraceRecorder* const trace =
       options.trace != nullptr ? options.trace : TraceRecorder::Global();
 
-  // Group-by engine for per-block local evaluation (src/agg): adaptive by
-  // default, it dispatches each reducer block to sort/scan, morsel or
-  // radix aggregation. It shares its member's sort/scan plan, so RowLess
-  // (combined sort) and the engines can never disagree on order.
+  // Per-block local evaluation (src/agg): sort/scan for pre-sorted blocks
+  // and the sort-only phase, the serial morsel path otherwise. It shares
+  // its member's sort/scan plan, so RowLess (combined sort) and the local
+  // step can never disagree on order.
   const size_t num_reducers =
       static_cast<size_t>(std::max(0, options.num_reducers));
   std::vector<MemberRun> members(workflows.size());
@@ -437,9 +437,6 @@ Result<SharedEvalResult> RunEvaluationPass(
         ctx.assume_sorted = plan.combined_sort;
         ctx.phase = local_phase;
         ctx.cancel = group.cancellation_token();
-        ctx.trace = trace;
-        ctx.task = reducer;
-        ctx.expected_groups_hint = plan.predicted_block_groups;
         block_results = m.local_agg->Evaluate(ctx, &stats);
       }
       // A cancelled attempt's partial results must never reach the shard;

@@ -131,10 +131,9 @@ struct ParallelEvalOptions {
   /// (phase kFull only). Verification failures degrade to recompute.
   CheckpointOptions checkpoint;
 
-  /// Local aggregation engine and chooser knobs (src/agg): which group-by
-  /// engine evaluates each reducer block, and how the map-side combiner
-  /// bounds and bypasses early aggregation. The engine defaults to the
-  /// adaptive chooser (or the CASM_LOCAL_AGG environment override).
+  /// Local aggregation knobs (src/agg): whether reducer blocks may take
+  /// the morsel path or are pinned to sort/scan, batching, and how the
+  /// map-side combiner bounds and bypasses early aggregation.
   LocalAggOptions local_agg;
 };
 

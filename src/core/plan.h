@@ -35,13 +35,6 @@ struct ExecutionPlan {
   /// records (filled by the optimizer; informational).
   double predicted_max_load = 0;
 
-  /// Cost-model prediction of one block's record count and its distinct
-  /// finest-granularity groups (filled by the optimizer; 0 = unknown).
-  /// The adaptive local aggregator uses the group prior to pick a
-  /// group-by engine before sampling confirms the block's cardinality.
-  double predicted_block_records = 0;
-  double predicted_block_groups = 0;
-
   /// Distribution blocks after clustering.
   int64_t NumBlocks(const Schema& schema) const;
 

@@ -36,11 +36,11 @@ const PhaseAttemptHistogram* RunReport::FindPhase(
 
 std::string RunReport::Summary() const {
   if (phases.empty() && admission_waits == 0 && spill_events == 0 &&
-      pool_queue_spans == 0 && local_agg_engine.empty() && dfs_reads == 0 &&
-      dfs_writes == 0 && dfs_scrubs == 0 && dfs_io_retries == 0 &&
-      dfs_failovers == 0 && dfs_repairs == 0 && ckpt_degraded_events == 0 &&
-      plan_cache_hits == 0 && plan_cache_misses == 0 &&
-      plan_cache_evictions == 0 && trace_dropped_events == 0) {
+      pool_queue_spans == 0 && dfs_reads == 0 && dfs_writes == 0 &&
+      dfs_scrubs == 0 && dfs_io_retries == 0 && dfs_failovers == 0 &&
+      dfs_repairs == 0 && ckpt_degraded_events == 0 && plan_cache_hits == 0 &&
+      plan_cache_misses == 0 && plan_cache_evictions == 0 &&
+      trace_dropped_events == 0) {
     return std::string();
   }
   std::string out = "run report: " +
@@ -68,13 +68,6 @@ std::string RunReport::Summary() const {
   if (pool_queue_spans > 0) {
     out += "\n  pool: " + std::to_string(pool_queue_spans) +
            " queue-wait(s) (" + Secs(pool_queue_seconds) + " total)";
-  }
-  if (!local_agg_engine.empty()) {
-    out += "\n  localagg: sortscan=" +
-           std::to_string(localagg_blocks_sortscan) +
-           " morsel=" + std::to_string(localagg_blocks_morsel) +
-           " radix=" + std::to_string(localagg_blocks_radix) +
-           " block(s) (dominant " + local_agg_engine + ")";
   }
   if (dfs_reads > 0 || dfs_writes > 0 || dfs_scrubs > 0 ||
       dfs_io_retries > 0 || dfs_failovers > 0 || dfs_repairs > 0 ||
@@ -160,14 +153,6 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
     } else if (std::strcmp(ev.category, "pool") == 0 && !ev.instant) {
       ++report.pool_queue_spans;
       report.pool_queue_seconds += ev.duration_seconds;
-    } else if (std::strcmp(ev.category, "localagg") == 0 && !ev.instant) {
-      if (ev.name == "sortscan") {
-        ++report.localagg_blocks_sortscan;
-      } else if (ev.name == "morsel") {
-        ++report.localagg_blocks_morsel;
-      } else if (ev.name == "radix") {
-        ++report.localagg_blocks_radix;
-      }
     } else if (std::strcmp(ev.category, "dfs") == 0) {
       if (ev.name == "dfs-read") {
         ++report.dfs_reads;
@@ -194,18 +179,6 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
                (ev.name == "ckpt-degraded" ||
                 ev.name.rfind("ckpt-skipped", 0) == 0)) {
       ++report.ckpt_degraded_events;
-    }
-  }
-  if (report.localagg_blocks_sortscan > 0 ||
-      report.localagg_blocks_morsel > 0 || report.localagg_blocks_radix > 0) {
-    report.local_agg_engine = "sortscan";
-    int64_t best = report.localagg_blocks_sortscan;
-    if (report.localagg_blocks_morsel > best) {
-      best = report.localagg_blocks_morsel;
-      report.local_agg_engine = "morsel";
-    }
-    if (report.localagg_blocks_radix > best) {
-      report.local_agg_engine = "radix";
     }
   }
   return report;

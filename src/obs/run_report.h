@@ -44,15 +44,6 @@ struct RunReport {
   int64_t pool_queue_spans = 0;      // "pool"/"queue-wait" spans
   double pool_queue_seconds = 0;
 
-  /// Local aggregation activity: "localagg" spans are one per evaluated
-  /// block, named after the group-by engine that ran it (src/agg).
-  int64_t localagg_blocks_sortscan = 0;
-  int64_t localagg_blocks_morsel = 0;
-  int64_t localagg_blocks_radix = 0;
-  /// Engine that evaluated the most blocks ("sortscan" / "morsel" /
-  /// "radix"; ties break in that order). Empty without localagg spans.
-  std::string local_agg_engine;
-
   /// Storage health: "dfs" category activity (dfs/volume.h) and
   /// checkpoint degradation instants ("ckpt-degraded"/"ckpt-skipped").
   int64_t dfs_reads = 0;           // "dfs-read" spans

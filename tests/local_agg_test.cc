@@ -1,21 +1,19 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Randomized differential tests for the local aggregation engines
-// (src/agg): every engine — and the adaptive chooser under every forced
-// decision — must agree with the reference evaluator on every workload,
-// across cardinality and skew ladders, serially and under a thread pool.
+// Randomized differential tests for local aggregation (src/agg): sort/scan
+// and the morsel path must agree with the reference evaluator on every
+// workload, across cardinality and skew ladders, and the default options
+// must route each block by the one rule of agg/local_aggregator.h.
 // Floating-point tolerance covers merge-order rounding differences
-// between engines; group sets and counts must match exactly.
+// between the two paths; group sets and counts must match exactly.
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "agg/local_aggregator.h"
-#include "common/thread_pool.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
 #include "local/reference_evaluator.h"
@@ -36,25 +34,21 @@ std::vector<int64_t> FlatRows(const Table& table) {
 }
 
 MeasureResultSet RunEngine(const Workflow& wf, std::vector<int64_t>& rows,
-                           int64_t n, LocalAggEngine engine, ThreadPool* pool,
+                           int64_t n, LocalAggEngine engine,
                            LocalAggOptions options = LocalAggOptions(),
-                           LocalEvalStats* stats = nullptr,
-                           bool assume_sorted = false) {
+                           LocalEvalStats* stats = nullptr) {
   options.engine = engine;
   std::unique_ptr<LocalAggregator> agg =
       MakeLocalAggregator(&wf, nullptr, options);
   LocalAggContext ctx;
   ctx.rows = rows.data();
   ctx.n = n;
-  ctx.assume_sorted = assume_sorted;
-  ctx.pool = pool;
   LocalEvalStats local_stats;
   return agg->Evaluate(ctx, stats != nullptr ? stats : &local_stats);
 }
 
-const LocalAggEngine kAllEngines[] = {
-    LocalAggEngine::kSortScan, LocalAggEngine::kMorsel,
-    LocalAggEngine::kRadix, LocalAggEngine::kAdaptive};
+const LocalAggEngine kAllEngines[] = {LocalAggEngine::kSortScan,
+                                      LocalAggEngine::kMorsel};
 
 TEST(LocalAggEngineTest, NameParseRoundTrip) {
   for (LocalAggEngine engine : kAllEngines) {
@@ -70,8 +64,7 @@ TEST(LocalAggEngineTest, NameParseRoundTrip) {
 TEST(LocalAggDifferentialTest, PaperQueriesAllEnginesMatchReference) {
   // Q1 (independent fine basics), Q5 (sibling windows) and Q6 (all four
   // relations including holistic medians) over uniform and temporally
-  // skewed data, each engine serial and pooled.
-  ThreadPool pool(4);
+  // skewed data, each engine.
   for (PaperQuery q : {PaperQuery::kQ1, PaperQuery::kQ5, PaperQuery::kQ6}) {
     Workflow wf = MakePaperQuery(q);
     for (bool skewed : {false, true}) {
@@ -80,15 +73,12 @@ TEST(LocalAggDifferentialTest, PaperQueriesAllEnginesMatchReference) {
       MeasureResultSet expected = EvaluateReference(wf, table);
       std::vector<int64_t> rows = FlatRows(table);
       for (LocalAggEngine engine : kAllEngines) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          MeasureResultSet got =
-              RunEngine(wf, rows, table.num_rows(), engine, p);
-          Status match = CompareResultSets(expected, got, kTol);
-          EXPECT_TRUE(match.ok())
-              << PaperQueryName(q) << " skewed=" << skewed << " engine="
-              << LocalAggEngineName(engine) << " pooled=" << (p != nullptr)
-              << ": " << match.ToString();
-        }
+        MeasureResultSet got = RunEngine(wf, rows, table.num_rows(), engine);
+        Status match = CompareResultSets(expected, got, kTol);
+        EXPECT_TRUE(match.ok())
+            << PaperQueryName(q) << " skewed=" << skewed
+            << " engine=" << LocalAggEngineName(engine) << ": "
+            << match.ToString();
       }
     }
   }
@@ -99,22 +89,18 @@ TEST(LocalAggDifferentialTest, WeblogWorkflowAllEnginesMatchReference) {
   Table table = WeblogTable(2500, 7);  // Zipf keywords: natural skew
   MeasureResultSet expected = EvaluateReference(wf, table);
   std::vector<int64_t> rows = FlatRows(table);
-  ThreadPool pool(3);
   for (LocalAggEngine engine : kAllEngines) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      MeasureResultSet got = RunEngine(wf, rows, table.num_rows(), engine, p);
-      Status match = CompareResultSets(expected, got, kTol);
-      EXPECT_TRUE(match.ok())
-          << "engine=" << LocalAggEngineName(engine)
-          << " pooled=" << (p != nullptr) << ": " << match.ToString();
-    }
+    MeasureResultSet got = RunEngine(wf, rows, table.num_rows(), engine);
+    Status match = CompareResultSets(expected, got, kTol);
+    EXPECT_TRUE(match.ok()) << "engine=" << LocalAggEngineName(engine)
+                            << ": " << match.ToString();
   }
 }
 
 /// Basic-measure workflows at three grouping granularities: day/tier3
 /// (few groups), hour/tier2 (middling), minute/value (nearly one group
-/// per record at test sizes) — the cardinality ladder the chooser
-/// navigates.
+/// per record at test sizes) — the cardinality ladder of
+/// bench/fig_localagg.
 Workflow LadderWorkflow(const SchemaPtr& schema, int rung) {
   const char* d_level = rung == 0 ? "tier3" : rung == 1 ? "tier2" : "value";
   const char* t_level = rung == 0 ? "day" : rung == 1 ? "hour" : "minute";
@@ -131,7 +117,6 @@ Workflow LadderWorkflow(const SchemaPtr& schema, int rung) {
 
 TEST(LocalAggDifferentialTest, CardinalitySkewLadder) {
   SchemaPtr schema = PaperSchema();
-  ThreadPool pool(4);
   for (int rung = 0; rung < 3; ++rung) {
     Workflow wf = LadderWorkflow(schema, rung);
     for (bool skewed : {false, true}) {
@@ -140,53 +125,38 @@ TEST(LocalAggDifferentialTest, CardinalitySkewLadder) {
       MeasureResultSet expected = EvaluateReference(wf, table);
       std::vector<int64_t> rows = FlatRows(table);
       for (LocalAggEngine engine : kAllEngines) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          MeasureResultSet got =
-              RunEngine(wf, rows, table.num_rows(), engine, p);
-          Status match = CompareResultSets(expected, got, kTol);
-          EXPECT_TRUE(match.ok())
-              << "rung=" << rung << " skewed=" << skewed << " engine="
-              << LocalAggEngineName(engine) << " pooled=" << (p != nullptr)
-              << ": " << match.ToString();
-        }
+        MeasureResultSet got = RunEngine(wf, rows, table.num_rows(), engine);
+        Status match = CompareResultSets(expected, got, kTol);
+        EXPECT_TRUE(match.ok())
+            << "rung=" << rung << " skewed=" << skewed
+            << " engine=" << LocalAggEngineName(engine) << ": "
+            << match.ToString();
       }
     }
   }
 }
 
 TEST(LocalAggDifferentialTest, StressedEngineKnobsStayCorrect) {
-  // Tiny thread-local tables (constant spilling), few partitions, tiny
-  // morsels, minimal radix bits: the overflow paths must produce the same
-  // answer as the fast paths.
+  // Tiny morsels: the morsel path's many morsel and batch boundaries must
+  // produce the same answer as the default sizes.
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(4000, 5);
   MeasureResultSet expected = EvaluateReference(wf, table);
   std::vector<int64_t> rows = FlatRows(table);
-  ThreadPool pool(4);
 
   LocalAggOptions stressed;
   stressed.morsel_rows = 64;
-  stressed.max_local_entries = 8;  // spill nearly every morsel
-  stressed.morsel_partitions = 4;
-  stressed.radix_bits = 1;
-  stressed.sample_rows = 32;
-  stressed.min_choose_rows = 1;
   for (LocalAggEngine engine : kAllEngines) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      MeasureResultSet got =
-          RunEngine(wf, rows, table.num_rows(), engine, p, stressed);
-      Status match = CompareResultSets(expected, got, kTol);
-      EXPECT_TRUE(match.ok())
-          << "engine=" << LocalAggEngineName(engine)
-          << " pooled=" << (p != nullptr) << ": " << match.ToString();
-    }
+    MeasureResultSet got =
+        RunEngine(wf, rows, table.num_rows(), engine, stressed);
+    Status match = CompareResultSets(expected, got, kTol);
+    EXPECT_TRUE(match.ok()) << "engine=" << LocalAggEngineName(engine)
+                            << ": " << match.ToString();
   }
 }
 
-TEST(LocalAggDifferentialTest, MorselSerialPooledAndSortScanAgreeOnOneRowBlocks) {
-  // One-row blocks are the common reducer block on paper workloads; the
-  // serial morsel path finalizes its one table directly.
-  ThreadPool pool(4);
+TEST(LocalAggDifferentialTest, MorselAndSortScanAgreeOnOneRowBlocks) {
+  // One-row blocks are the common reducer block on paper workloads.
   for (PaperQuery q : {PaperQuery::kQ1, PaperQuery::kQ5, PaperQuery::kQ6}) {
     Workflow wf = MakePaperQuery(q);
     Table table = PaperUniformTable(64, 71);
@@ -194,111 +164,46 @@ TEST(LocalAggDifferentialTest, MorselSerialPooledAndSortScanAgreeOnOneRowBlocks)
     for (int64_t r = 0; r < table.num_rows(); ++r) {
       std::vector<int64_t> block(table.row(r), table.row(r) + width);
       MeasureResultSet sortscan =
-          RunEngine(wf, block, 1, LocalAggEngine::kSortScan, nullptr);
+          RunEngine(wf, block, 1, LocalAggEngine::kSortScan);
       ASSERT_GT(sortscan.TotalResults(), 0);
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        MeasureResultSet morsel =
-            RunEngine(wf, block, 1, LocalAggEngine::kMorsel, p);
-        Status match = CompareResultSets(sortscan, morsel, 1e-9);
-        EXPECT_TRUE(match.ok())
-            << PaperQueryName(q) << " row=" << r
-            << " pooled=" << (p != nullptr) << ": " << match.ToString();
-      }
+      MeasureResultSet morsel =
+          RunEngine(wf, block, 1, LocalAggEngine::kMorsel);
+      Status match = CompareResultSets(sortscan, morsel, 1e-9);
+      EXPECT_TRUE(match.ok()) << PaperQueryName(q) << " row=" << r << ": "
+                              << match.ToString();
     }
   }
 }
 
-TEST(LocalAggDifferentialTest, MorselSerialPooledAndSortScanAgreePastLocalTableBound) {
-  // More groups than max_local_entries: the pooled path spills and merges
-  // partitions, the serial path keeps one table that simply grows.
+TEST(LocalAggDifferentialTest, MorselAndSortScanAgreeOnNearUniqueGroups) {
+  // More groups than rows per morsel: the morsel path's one table keeps
+  // growing across morsels and must still match sort/scan.
   SchemaPtr schema = PaperSchema();
   Workflow wf = LadderWorkflow(schema, /*rung=*/2);  // near-unique groups
   Table table = PaperUniformTable(3000, 83);
   std::vector<int64_t> rows = FlatRows(table);
   LocalAggOptions options;
-  options.max_local_entries = 16;
-  options.morsel_rows = 128;  // several shards under the pool
+  options.morsel_rows = 128;
   MeasureResultSet sortscan = RunEngine(
-      wf, rows, table.num_rows(), LocalAggEngine::kSortScan, nullptr, options);
+      wf, rows, table.num_rows(), LocalAggEngine::kSortScan, options);
   ASSERT_GT(sortscan.values(0).size(),
-            static_cast<size_t>(options.max_local_entries));
+            static_cast<size_t>(options.morsel_rows));
   Status reference =
       CompareResultSets(EvaluateReference(wf, table), sortscan, 1e-9);
   ASSERT_TRUE(reference.ok()) << reference.ToString();
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    MeasureResultSet morsel = RunEngine(wf, rows, table.num_rows(),
-                                        LocalAggEngine::kMorsel, p, options);
-    Status match = CompareResultSets(sortscan, morsel, 1e-9);
-    EXPECT_TRUE(match.ok())
-        << "pooled=" << (p != nullptr) << ": " << match.ToString();
-  }
-}
-
-TEST(LocalAggDifferentialTest, AdaptiveMatchesUnderEveryForcedDecision) {
-  // Drive the chooser into each branch by knob extremes; every decision
-  // must still be correct (the chooser may only affect speed).
-  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
-  Table table = PaperUniformTable(5000, 3);
-  MeasureResultSet expected = EvaluateReference(wf, table);
-  std::vector<int64_t> rows = FlatRows(table);
-
-  LocalAggOptions force_radix;
-  force_radix.min_choose_rows = 1;
-  force_radix.skew_morsel_threshold = 1.1;
-  force_radix.sortscan_group_ratio = 2.0;  // ratio can never reach it
-  force_radix.morsel_group_limit = 0;       // and no group count is <= 0
-
-  LocalAggOptions force_morsel;
-  force_morsel.sortscan_group_ratio = 2.0;
-  force_morsel.morsel_group_limit =
-      std::numeric_limits<int64_t>::max();  // every group count qualifies
-
-  LocalAggOptions force_skew_morsel;
-  force_skew_morsel.min_choose_rows = 1;
-  force_skew_morsel.skew_morsel_threshold = 0.0;  // everything "skewed"
-
-  int case_id = 0;
-  for (const LocalAggOptions& opts :
-       {force_radix, force_morsel, force_skew_morsel}) {
-    LocalEvalStats stats;
-    MeasureResultSet got = RunEngine(wf, rows, table.num_rows(),
-                                     LocalAggEngine::kAdaptive, nullptr, opts,
-                                     &stats);
-    Status match = CompareResultSets(expected, got, kTol);
-    EXPECT_TRUE(match.ok()) << "case=" << case_id << ": " << match.ToString();
-    EXPECT_EQ(stats.agg_blocks_sortscan, 0) << "case=" << case_id;
-    ++case_id;
-  }
-
-  // Near-unique routing: with the unique-ratio cutoff at 0 every unsorted
-  // block projects "near-unique" and must take the sort/scan path.
-  LocalAggOptions force_unique_sortscan;
-  force_unique_sortscan.min_choose_rows = 1;
-  force_unique_sortscan.skew_morsel_threshold = 1.1;
-  force_unique_sortscan.sortscan_group_ratio = 0.0;
-  LocalEvalStats stats;
-  MeasureResultSet got =
-      RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kAdaptive, nullptr,
-                force_unique_sortscan, &stats);
-  Status match = CompareResultSets(expected, got, kTol);
+  MeasureResultSet morsel = RunEngine(wf, rows, table.num_rows(),
+                                      LocalAggEngine::kMorsel, options);
+  Status match = CompareResultSets(sortscan, morsel, 1e-9);
   EXPECT_TRUE(match.ok()) << match.ToString();
-  EXPECT_EQ(stats.agg_blocks_sortscan, 1);
-  EXPECT_EQ(stats.agg_blocks_morsel, 0);
-  EXPECT_EQ(stats.agg_blocks_radix, 0);
 }
 
-TEST(LocalAggDifferentialTest, AdaptiveRoutesSortedInputToSortScan) {
-  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
-  Table table = PaperUniformTable(5000, 29);
-  MeasureResultSet expected = EvaluateReference(wf, table);
-  std::vector<int64_t> rows = FlatRows(table);
-
-  // Pre-sort by the shared sort order, as the combined framework sort
-  // would, then assert the chooser takes the free-sort path.
+/// `rows` (n records) reordered into the sort/scan plan's RowLess order, as
+/// the combined framework sort would deliver them.
+std::vector<int64_t> SortedRows(const Workflow& wf,
+                                const std::vector<int64_t>& rows, int64_t n) {
   const SortScanEvaluator sortscan(&wf);
-  const int width = table.row_width();
-  std::vector<int64_t> order(static_cast<size_t>(table.num_rows()));
+  const int width = wf.schema()->num_attributes();
+  std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     return sortscan.RowLess(rows.data() + a * width, rows.data() + b * width);
@@ -309,16 +214,52 @@ TEST(LocalAggDifferentialTest, AdaptiveRoutesSortedInputToSortScan) {
     sorted.insert(sorted.end(), rows.begin() + i * width,
                   rows.begin() + (i + 1) * width);
   }
+  return sorted;
+}
 
-  LocalEvalStats stats;
-  MeasureResultSet got =
-      RunEngine(wf, sorted, table.num_rows(), LocalAggEngine::kAdaptive,
-                nullptr, LocalAggOptions(), &stats, /*assume_sorted=*/true);
+TEST(LocalAggDifferentialTest, DefaultOptionsRouteByTheOneRule) {
+  // A 20k-row near-unique block (minute/value, bench/fig_localagg's fine
+  // rung): unsorted it takes the morsel path, pre-sorted (combined sort)
+  // or in the sort-only phase it takes sort/scan.
+  SchemaPtr schema = PaperSchema();
+  Workflow wf = LadderWorkflow(schema, /*rung=*/2);
+  Table table = PaperUniformTable(20000, 1717);
+  const int64_t n = table.num_rows();
+  MeasureResultSet expected = EvaluateReference(wf, table);
+  std::vector<int64_t> rows = FlatRows(table);
+  std::vector<int64_t> sorted = SortedRows(wf, rows, n);
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
+
+  LocalAggContext unsorted_ctx;
+  unsorted_ctx.rows = rows.data();
+  unsorted_ctx.n = n;
+  LocalEvalStats unsorted_stats;
+  MeasureResultSet got = agg->Evaluate(unsorted_ctx, &unsorted_stats);
   Status match = CompareResultSets(expected, got, kTol);
-  EXPECT_TRUE(match.ok()) << match.ToString();
-  EXPECT_EQ(stats.agg_blocks_sortscan, 1);
-  EXPECT_EQ(stats.agg_blocks_morsel, 0);
-  EXPECT_EQ(stats.agg_blocks_radix, 0);
+  EXPECT_TRUE(match.ok()) << "unsorted: " << match.ToString();
+  EXPECT_EQ(unsorted_stats.agg_blocks_morsel, 1);
+  EXPECT_EQ(unsorted_stats.agg_blocks_sortscan, 0);
+
+  LocalAggContext sorted_ctx;
+  sorted_ctx.rows = sorted.data();
+  sorted_ctx.n = n;
+  sorted_ctx.assume_sorted = true;
+  LocalEvalStats sorted_stats;
+  got = agg->Evaluate(sorted_ctx, &sorted_stats);
+  match = CompareResultSets(expected, got, kTol);
+  EXPECT_TRUE(match.ok()) << "sorted: " << match.ToString();
+  EXPECT_EQ(sorted_stats.agg_blocks_sortscan, 1);
+  EXPECT_EQ(sorted_stats.agg_blocks_morsel, 0);
+
+  // The sort-only phase sorts the block and produces no results.
+  LocalAggContext sort_only_ctx = unsorted_ctx;
+  sort_only_ctx.phase = LocalEvalPhase::kSortOnly;
+  LocalEvalStats sort_only_stats;
+  got = agg->Evaluate(sort_only_ctx, &sort_only_stats);
+  EXPECT_EQ(got.TotalResults(), 0);
+  EXPECT_EQ(sort_only_stats.agg_blocks_sortscan, 1);
+  EXPECT_EQ(sort_only_stats.agg_blocks_morsel, 0);
+  EXPECT_EQ(sort_only_stats.records, n);
 }
 
 TEST(LocalAggDifferentialTest, EngineStatsCountBlocks) {
@@ -326,26 +267,24 @@ TEST(LocalAggDifferentialTest, EngineStatsCountBlocks) {
   Table table = PaperUniformTable(2000, 13);
   std::vector<int64_t> rows = FlatRows(table);
   LocalEvalStats stats;
-  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kRadix, nullptr,
-            LocalAggOptions(), &stats);
-  EXPECT_EQ(stats.agg_blocks_radix, 1);
-  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kMorsel, nullptr,
+  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kMorsel,
             LocalAggOptions(), &stats);
   EXPECT_EQ(stats.agg_blocks_morsel, 1);
-  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kSortScan, nullptr,
+  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kSortScan,
             LocalAggOptions(), &stats);
   EXPECT_EQ(stats.agg_blocks_sortscan, 1);
+  EXPECT_EQ(stats.agg_blocks_radix, 0);
 }
 
 TEST(LocalAggDifferentialTest, SerialEvaluationIsDeterministic) {
-  // Serial (null pool) evaluation must be bit-deterministic: checkpoint
-  // verification (ckpt/) compares recomputed results exactly.
+  // Evaluation must be bit-deterministic: checkpoint verification (ckpt/)
+  // compares recomputed results exactly.
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);
   Table table = PaperUniformTable(3000, 47);
   std::vector<int64_t> rows = FlatRows(table);
   for (LocalAggEngine engine : kAllEngines) {
-    MeasureResultSet a = RunEngine(wf, rows, table.num_rows(), engine, nullptr);
-    MeasureResultSet b = RunEngine(wf, rows, table.num_rows(), engine, nullptr);
+    MeasureResultSet a = RunEngine(wf, rows, table.num_rows(), engine);
+    MeasureResultSet b = RunEngine(wf, rows, table.num_rows(), engine);
     Status match = CompareResultSets(a, b, 0.0);
     EXPECT_TRUE(match.ok()) << "engine=" << LocalAggEngineName(engine) << ": "
                             << match.ToString();
@@ -359,10 +298,10 @@ TEST(LocalAggDifferentialTest, CancelledBlockReturnsEarly) {
   CancellationToken cancel;
   cancel.Cancel();
   for (LocalAggEngine engine : kAllEngines) {
-    std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
     LocalAggOptions options;
     options.engine = engine;
-    agg = MakeLocalAggregator(&wf, nullptr, options);
+    std::unique_ptr<LocalAggregator> agg =
+        MakeLocalAggregator(&wf, nullptr, options);
     LocalAggContext ctx;
     ctx.rows = rows.data();
     ctx.n = table.num_rows();
@@ -418,30 +357,34 @@ TEST(LocalAggCombinerTest, CardinalityBypassStaysExact) {
   EXPECT_TRUE(match.ok()) << match.ToString();
 }
 
-TEST(LocalAggTraceTest, EvaluationRecordsEngineSpans) {
+TEST(LocalAggTraceTest, TracedRunRecordsNoPerBlockSpans) {
+  // Block counts live in LocalEvalStats and the casm_localagg_blocks_total
+  // counter; a traced run must not add a span per reducer block (thousands
+  // per query on one-row blocks).
   Workflow wf = MakePaperQuery(PaperQuery::kQ1);
   Table table = PaperUniformTable(2000, 71);
-  std::vector<int64_t> rows = FlatRows(table);
+  ExecutionPlan plan;
+  plan.key = DeriveDistributionKeys(wf).query_key;
   TraceRecorder trace;
   trace.set_enabled(true);
-  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
-  LocalAggContext ctx;
-  ctx.rows = rows.data();
-  ctx.n = table.num_rows();
-  ctx.trace = &trace;
-  ctx.task = 7;
-  LocalEvalStats stats;
-  agg->Evaluate(ctx, &stats);
-  bool saw_localagg = false;
-  for (const TraceEvent& ev : trace.Snapshot()) {
-    if (std::string(ev.category) == "localagg") {
-      saw_localagg = true;
-      EXPECT_EQ(ev.task, 7);
-      Result<LocalAggEngine> engine = ParseLocalAggEngine(ev.name);
-      EXPECT_TRUE(engine.ok()) << ev.name;
+  ParallelEvalOptions opts;
+  opts.num_mappers = 2;
+  opts.num_reducers = 2;
+  opts.num_threads = 2;
+  opts.trace = &trace;
+  Result<ParallelEvalResult> result = EvaluateParallel(wf, table, plan, opts);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const int64_t blocks = result->local_stats.agg_blocks_morsel;
+  ASSERT_GT(blocks, 100);
+  int64_t localagg_spans = 0;
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  for (const TraceEvent& ev : events) {
+    if (std::string(ev.category) == "localagg" && !ev.instant) {
+      ++localagg_spans;
     }
   }
-  EXPECT_TRUE(saw_localagg);
+  EXPECT_EQ(localagg_spans, 0);
+  EXPECT_LT(static_cast<int64_t>(events.size()), blocks);
 }
 
 }  // namespace
