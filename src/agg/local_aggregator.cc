@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "agg/batch.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "local/derivation.h"
 #include "obs/metrics.h"
@@ -15,12 +16,6 @@ namespace casm {
 namespace {
 
 using AccMap = std::unordered_map<Coords, Accumulator, CoordsHash>;
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Block counter of one path, resolved once. Increment() is self-guarded,
 /// so a disabled registry costs one relaxed load per evaluated block.
@@ -163,12 +158,7 @@ MeasureResultSet LocalAggregator::EvaluateMorsel(const LocalAggContext& ctx,
       out.emplace(coords, accumulator.Result());
     }
   }
-  for (int i = 0; i < wf_->num_measures(); ++i) {
-    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) break;
-    if (wf_->measure(i).op != MeasureOp::kAggregateRecords) {
-      DeriveCompositeMeasure(*wf_, i, &results);
-    }
-  }
+  DeriveComposites(*wf_, &results, ctx.cancel);
 
   if (stats != nullptr) {
     stats->records += ctx.n;

@@ -2,11 +2,12 @@
 
 #include "ckpt/checkpoint.h"
 
-#include <chrono>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "data/table.h"
 #include "io/record_codec.h"
@@ -17,6 +18,8 @@ namespace casm {
 namespace {
 
 constexpr char kEntryMagic[4] = {'C', 'K', 'P', '1'};
+
+std::atomic<int64_t> g_table_fingerprints{0};
 
 /// FNV-1a 64 accumulator for fingerprints.
 struct Fnv {
@@ -56,12 +59,6 @@ uint64_t ReadU64Le(const char* bytes) {
          << (8 * i);
   }
   return v;
-}
-
-double SteadyNowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Registry counters for checkpoint traffic, resolved once. Increment()
@@ -177,11 +174,16 @@ uint64_t FingerprintWorkflow(const Workflow& workflow) {
 }
 
 uint64_t FingerprintTable(const Table& table) {
+  g_table_fingerprints.fetch_add(1, std::memory_order_relaxed);
   Fnv fnv;
   fnv.I64(table.num_rows());
   fnv.I64(table.row_width());
   for (int64_t v : table.data()) fnv.I64(v);
   return fnv.h;
+}
+
+int64_t TableFingerprintCount() {
+  return g_table_fingerprints.load(std::memory_order_relaxed);
 }
 
 uint64_t FingerprintQuery(const Workflow& workflow, const Table& table) {

@@ -69,6 +69,10 @@ uint64_t FingerprintWorkflow(const Workflow& workflow);
 /// Fingerprint of the input data: row count, width, and every record.
 uint64_t FingerprintTable(const Table& table);
 
+/// FingerprintTable calls so far in this process. A test hook: a run with
+/// no observability consumer and no checkpoint must hash no table.
+int64_t TableFingerprintCount();
+
 /// Combined fingerprint of a (workflow, table) pair — the identity under
 /// which both evaluators checkpoint. Restoring requires both to match;
 /// editing the query or the data invalidates old entries automatically.

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <string>
 
+#include "common/clock.h"
+
 namespace casm {
 
 bool MemoryBudget::TryReserve(int64_t bytes) {
@@ -31,10 +33,7 @@ Status MemoryBudget::Reserve(int64_t bytes, const CancellationToken* cancel) {
     const auto wait_start = std::chrono::steady_clock::now();
     while (used_ + bytes > capacity_) {
       if (cancel != nullptr && cancel->cancelled()) {
-        const double waited =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          wait_start)
-                .count();
+        const double waited = SecondsSince(wait_start);
         admission_wait_seconds_ += waited;
         if (wait_observer_) {
           lock.unlock();
@@ -47,10 +46,7 @@ Status MemoryBudget::Reserve(int64_t bytes, const CancellationToken* cancel) {
       // Release() ever arrives.
       released_.wait_for(lock, std::chrono::milliseconds(2));
     }
-    const double waited =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wait_start)
-            .count();
+    const double waited = SecondsSince(wait_start);
     admission_wait_seconds_ += waited;
     used_ += bytes;
     peak_used_ = std::max(peak_used_, used_);

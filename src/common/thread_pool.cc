@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/logging.h"
 
 namespace casm {
@@ -120,9 +121,7 @@ void ThreadPool::WorkerLoop() {
       hook = queue_latency_hook_;
     }
     if (hook != nullptr) {
-      (*hook)(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            enqueued)
-                  .count());
+      (*hook)(SecondsSince(enqueued));
     }
     // A throwing task must not escape the worker thread (std::terminate);
     // capture the failure for the next Wait() instead.

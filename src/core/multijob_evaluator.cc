@@ -5,31 +5,22 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
+#include "common/clock.h"
 #include "common/logging.h"
+#include "core/keygen.h"
+#include "core/query_run.h"
+#include "data/record_batch.h"
 #include "mr/engine.h"
 #include "mr/external_sort.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace casm {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Prefixes a failed job's status with which measure/job it belonged to;
 /// the engine message below it names the failing phase and task.
@@ -41,60 +32,42 @@ Status AnnotateJobError(const Status& s, const char* kind,
                               ") failed: " + s.message());
 }
 
-/// A job's result assembly for one measure: each reduce task fills its own
-/// shard without a lock (only the task's owning execution writes it) and
-/// flushes it into `out` once, at task end, through a disjoint merge — so
-/// a region produced twice fails the job with FailedPrecondition
-/// (distribution rule 2) instead of being dropped.
-class ShardedSink {
- public:
-  ShardedSink(int measure, int num_reducers, MeasureValueMap* out)
-      : measure_(measure),
-        shards_(static_cast<size_t>(std::max(0, num_reducers))),
-        out_(out) {}
-
-  /// Adds one region's value to reducer `reducer`'s shard.
-  void Add(int reducer, Coords&& coords, double value) {
-    MeasureValueMap one;
-    one.emplace(std::move(coords), value);
-    Add(reducer, std::move(one));
+/// Runs job `index` of the sequence (a `kind` job repartitioning
+/// `num_input` rows by `key`) under a "job" trace span: completes `spec`'s
+/// shared settings, flushes `shards` at each reduce task's end and moves
+/// the measure's values into `results`. `spec` brings the job's map and
+/// reduce functions and value width; `options` are the run's
+/// QueryRun::JobOptions().
+Status RunJob(const char* kind, const Workflow& wf, int index,
+              const Granularity& key, int64_t num_input,
+              const ParallelEvalOptions& options, MapReduceEngine* engine,
+              MapReduceSpec* spec, ResultShards* shards,
+              MeasureResultSet* results, MapReduceMetrics* total) {
+  const Schema& schema = *wf.schema();
+  const Measure& m = wf.measure(index);
+  spec->num_mappers = options.num_mappers;
+  spec->num_reducers = options.num_reducers;
+  spec->key_width = schema.num_attributes();
+  ApplyEngineOptions(options, spec);
+  spec->reduce_finish_fn = [shards](int reducer) { shards->Flush(reducer); };
+  TraceRecorder* const trace = options.trace;
+  const bool tracing = trace->enabled();
+  const double job_start = tracing ? trace->NowSeconds() : 0;
+  Result<MapReduceMetrics> run = engine->Run(*spec, num_input);
+  if (tracing) {
+    trace->RecordSpan("job", std::string(kind) + " " + m.name, job_start,
+                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
+                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
+                      "key=" + key.ToString(schema), /*job=*/index);
   }
-
-  /// Unions `values` into reducer `reducer`'s shard.
-  void Add(int reducer, MeasureValueMap&& values) {
-    Shard& shard = shards_[static_cast<size_t>(reducer)];
-    Status s = MergeDisjointValues(measure_, std::move(values), &shard.values);
-    if (!s.ok() && shard.first_error.ok()) shard.first_error = std::move(s);
-  }
-
-  /// The reduce_finish_fn: unions reducer `reducer`'s shard into `out`.
-  void Flush(int reducer) {
-    Shard& shard = shards_[static_cast<size_t>(reducer)];
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      Status s = shard.first_error;
-      if (s.ok()) {
-        s = MergeDisjointValues(measure_, std::move(shard.values), out_);
-      }
-      if (!s.ok() && first_error_.ok()) first_error_ = std::move(s);
-    }
-    shard.values = MeasureValueMap();  // free the emptied bucket array
-  }
-
-  /// The first rule-2 violation of the job; read after engine.Run().
-  const Status& status() const { return first_error_; }
-
- private:
-  struct Shard {
-    MeasureValueMap values;
-    Status first_error;
-  };
-  int measure_;
-  std::vector<Shard> shards_;
-  std::mutex mu_;  // guards out_ and first_error_ across flushes
-  MeasureValueMap* out_;
-  Status first_error_;
-};
+  ResultShards::Shard& job = shards->total();
+  const Status& failed = !run.ok() ? run.status() : job.first_error;
+  if (!failed.ok()) return AnnotateJobError(failed, kind, m.name, index);
+  results->mutable_values(index) =
+      std::move(job.results.mutable_values(index));
+  total->Accumulate(run.value());
+  return Status::OK();
+}
 
 /// Evaluates one basic measure with its own repartition-the-raw-data job.
 Status RunBasicJob(const Workflow& wf, int index, const Table& table,
@@ -103,24 +76,24 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   const Schema& schema = *wf.schema();
   const Measure& m = wf.measure(index);
   const int num_attrs = schema.num_attributes();
+  // The record's region at the measure's granularity is its key: a keygen
+  // at that granularity with no annotation maps each record to one block.
+  std::vector<KeyGenAttr> keygen(static_cast<size_t>(num_attrs));
+  for (int a = 0; a < num_attrs; ++a) {
+    keygen[static_cast<size_t>(a)].level = m.granularity.level(a);
+  }
 
-  ShardedSink sink(index, options.num_reducers,
-                   &results->mutable_values(index));
+  ResultShards shards(wf.num_measures(), options.num_reducers);
 
   MapReduceSpec spec;
-  spec.num_mappers = options.num_mappers;
-  spec.num_reducers = options.num_reducers;
-  spec.key_width = num_attrs;
   spec.value_width = 1;
-  ApplyEngineOptions(options, &spec);
   spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
-    for (int64_t r = begin; r < end; ++r) {
-      if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
-      const int64_t* row = table.row(r);
-      Coords coords = RegionOfRecord(schema, m.granularity, row);
-      int64_t value = row[m.field];
-      emitter->Emit(coords.data(), &value);
-    }
+    ScanKeyLevels(schema, table, keygen, options.local_agg.batch_rows, begin,
+                  end, *emitter,
+                  [&](const int64_t* const* levels, int64_t, int64_t n,
+                      const RecordBatch& batch) {
+                    emitter->EmitBatch(levels, batch.column(m.field), n);
+                  });
   };
   spec.reduce_fn = [&](int reducer, const GroupView& group) {
     Accumulator acc(m.fn);
@@ -128,30 +101,11 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
       if ((i & 4095) == 0 && group.cancelled()) return;
       acc.Add(static_cast<double>(group.value(i)[0]));
     }
-    sink.Add(reducer, Coords(group.key(), group.key() + num_attrs),
-             acc.Result());
+    shards.Add(reducer, index,
+               {{Coords(group.key(), group.key() + num_attrs), acc.Result()}});
   };
-  spec.reduce_finish_fn = [&sink](int reducer) { sink.Flush(reducer); };
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
-  const bool tracing = trace->enabled();
-  const double job_start = tracing ? trace->NowSeconds() : 0;
-  Result<MapReduceMetrics> run = engine->Run(spec, table.num_rows());
-  if (tracing) {
-    trace->RecordSpan("job", "basic " + m.name, job_start, trace->NowSeconds(),
-                      /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "key=" + m.granularity.ToString(schema),
-                      /*job=*/index);
-  }
-  if (!run.ok()) {
-    return AnnotateJobError(run.status(), "basic", m.name, index);
-  }
-  if (!sink.status().ok()) {
-    return AnnotateJobError(sink.status(), "basic", m.name, index);
-  }
-  total->Accumulate(run.value());
-  return Status::OK();
+  return RunJob("basic", wf, index, m.granularity, table.num_rows(), options,
+                engine, &spec, &shards, results, total);
 }
 
 /// Evaluates one composite measure by repartitioning its sources' results
@@ -197,15 +151,10 @@ Status RunCompositeJob(const Workflow& wf, int index,
                       });
   const int64_t num_input = static_cast<int64_t>(input.size()) / row_width;
 
-  ShardedSink sink(index, options.num_reducers,
-                   &results->mutable_values(index));
+  ResultShards shards(wf.num_measures(), options.num_reducers);
 
   MapReduceSpec spec;
-  spec.num_mappers = options.num_mappers;
-  spec.num_reducers = options.num_reducers;
-  spec.key_width = num_attrs;
   spec.value_width = row_width;  // [edge, target-or-parent coords, bits]
-  ApplyEngineOptions(options, &spec);
   spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
     std::vector<int64_t> value(static_cast<size_t>(row_width));
     for (int64_t r = begin; r < end; ++r) {
@@ -347,29 +296,10 @@ Status RunCompositeJob(const Workflow& wf, int index,
     }
 
     if (group.cancelled()) return;
-    sink.Add(reducer, std::move(local));
+    shards.Add(reducer, index, std::move(local));
   };
-  spec.reduce_finish_fn = [&sink](int reducer) { sink.Flush(reducer); };
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
-  const bool tracing = trace->enabled();
-  const double job_start = tracing ? trace->NowSeconds() : 0;
-  Result<MapReduceMetrics> run = engine->Run(spec, num_input);
-  if (tracing) {
-    trace->RecordSpan("job", "composite " + m.name, job_start,
-                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "key=" + join_gran.ToString(schema),
-                      /*job=*/index);
-  }
-  if (!run.ok()) {
-    return AnnotateJobError(run.status(), "composite", m.name, index);
-  }
-  if (!sink.status().ok()) {
-    return AnnotateJobError(sink.status(), "composite", m.name, index);
-  }
-  total->Accumulate(run.value());
-  return Status::OK();
+  return RunJob("composite", wf, index, join_gran, num_input, options, engine,
+                &spec, &shards, results, total);
 }
 
 }  // namespace
@@ -381,139 +311,39 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
     return Status::InvalidArgument(
         "the multi-job baseline only supports full evaluation");
   }
+  QueryRun run({&wf}, table, options);
+  // Open the checkpoint log up front so restore verification (entry
+  // scan, fingerprint check, block checksums) happens before any work.
+  if (Status s = run.OpenCheckpoint(); !s.ok()) return run.Fail(s);
   MapReduceEngine engine(options.num_threads);
   MultiJobResult out;
   out.results = MeasureResultSet(wf.num_measures());
 
-  // ---- Live observability resolution — the same discipline as
-  // EvaluateParallel: nothing here runs (and the query label is never
-  // computed) unless some consumer is active. One progress tracker spans
-  // the whole job sequence; each job's phases re-begin under it.
-  FlightRecorder* const flight =
-      options.flight != nullptr ? options.flight : FlightRecorder::Global();
-  const std::string diag_dir = !options.diag_dir.empty()
-                                   ? options.diag_dir
-                                   : FlightRecorder::GlobalDiagDir();
-  const double ticker_seconds = options.progress_seconds > 0
-                                    ? options.progress_seconds
-                                    : ProgressTracker::TickerSecondsFromEnv();
-  const bool observing = MetricsRegistry::Global()->enabled() ||
-                         flight->enabled() || !diag_dir.empty() ||
-                         ticker_seconds > 0 || options.progress != nullptr ||
-                         !options.query_label.empty();
-  std::string query_label = options.query_label;
-  if (observing && query_label.empty()) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "q%016llx",
-                  static_cast<unsigned long long>(FingerprintQuery(wf, table)));
-    query_label = buf;
-  }
-  std::optional<ProgressTracker> local_progress;
-  ProgressTracker* progress = options.progress;
-  if (progress == nullptr && observing) {
-    local_progress.emplace(query_label);
-    progress = &*local_progress;
-  }
-  if (ticker_seconds > 0) progress->StartTicker(ticker_seconds);
-  const auto diagnose = [&](const Status& failure) {
-    MaybeWriteDiagnosticBundle(diag_dir, query_label, failure,
-                               DescribeOptions(options), *flight);
-  };
-
-  // Open the checkpoint log up front so restore verification (entry
-  // scan, fingerprint check, block checksums) happens before any work.
-  std::optional<CheckpointLog> ckpt;
-  DfsVolumeStats dfs_base;
-  if (options.checkpoint.enabled()) {
-    CheckpointOptions ckpt_options = options.checkpoint;
-    if (ckpt_options.volume.fault_plan == nullptr) {
-      ckpt_options.volume.fault_plan = options.fault_plan;
-    }
-    if (ckpt_options.volume.trace == nullptr) {
-      ckpt_options.volume.trace = options.trace;
-    }
-    CASM_ASSIGN_OR_RETURN(
-        CheckpointLog log,
-        CheckpointLog::Open(ckpt_options, FingerprintQuery(wf, table)));
-    ckpt.emplace(std::move(log));
-    dfs_base = ckpt->volume().stats();
-  }
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
-  // Circuit breaker around per-job commits: a persistently failing
-  // checkpoint store degrades the run to "completed without durability"
-  // instead of failing the query (DESIGN.md §12).
-  CheckpointBreaker breaker(options.checkpoint.breaker_failure_threshold,
-                            options.checkpoint.breaker_probe_seconds);
-  // Attributes the checkpoint volume's resilience activity since Open to
-  // this run's metrics.
-  const auto apply_dfs_stats = [&ckpt, &dfs_base](MapReduceMetrics* m) {
-    if (!ckpt.has_value()) return;
-    const DfsVolumeStats s = ckpt->volume().stats();
-    m->dfs_io_retries += s.io_retries - dfs_base.io_retries;
-    m->dfs_write_failovers += s.write_failovers - dfs_base.write_failovers;
-    m->dfs_corrupt_replicas += s.corrupt_replicas - dfs_base.corrupt_replicas;
-    m->dfs_repaired_replicas +=
-        s.repaired_replicas - dfs_base.repaired_replicas;
-    m->dfs_under_replicated_blocks +=
-        s.under_replicated_blocks - dfs_base.under_replicated_blocks;
-  };
-
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < wf.num_measures(); ++i) {
     const std::string& name = wf.measure(i).name;
-    if (ckpt.has_value()) {
-      // Restore before spending any deadline budget: a resumed run
-      // should finish even when the leftover budget could not re-run
-      // the restored jobs. A failed restore (NotFound = never
-      // committed; anything else = torn/corrupt/stale entry) simply
-      // recomputes — corruption must never surface as wrong results.
-      const bool tracing = trace->enabled();
-      const double restore_start = tracing ? trace->NowSeconds() : 0;
-      int64_t bytes_restored = 0;
-      Result<MeasureValueMap> restored =
-          ckpt->TryRestoreJob(i, name, &bytes_restored);
-      if (tracing) {
-        trace->RecordSpan("ckpt", "ckpt-restore " + name, restore_start,
-                          trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                          restored.ok() ? TraceOutcome::kOk
-                                        : TraceOutcome::kFailed,
-                          restored.ok()
-                              ? "bytes=" + std::to_string(bytes_restored)
-                              : restored.status().ToString(),
-                          /*job=*/i);
-      }
-      if (restored.ok()) {
-        out.results.mutable_values(i) = std::move(restored).value();
-        ++out.jobs_restored;
-        ++out.total_metrics.checkpoint_jobs_restored;
-        out.total_metrics.checkpoint_bytes_restored += bytes_restored;
-        continue;
-      }
-      if (restored.status().code() != StatusCode::kNotFound) {
-        // Torn/corrupt/stale entry: recompute, but count why.
-        ++out.total_metrics.checkpoint_restore_failures;
-      }
+    // Restore before spending any deadline budget: a resumed run should
+    // finish even when the leftover budget could not re-run the restored
+    // jobs. A failed restore simply recomputes — corruption must never
+    // surface as wrong results.
+    if (Result<MeasureValueMap> restored = run.RestoreJob(i, name);
+        restored.ok()) {
+      out.results.mutable_values(i) = std::move(restored).value();
+      ++out.jobs_restored;
+      continue;
     }
     // The caller's deadline budgets the whole job sequence: each job gets
     // what the previous jobs left over, and a sequence that exhausts the
     // budget between jobs fails here rather than starting one that cannot
     // meaningfully finish.
-    ParallelEvalOptions job_options = options;
-    // Every job stamps the sequence's resolved label and drives the
-    // sequence-wide progress tracker (ApplyEngineOptions forwards both).
-    job_options.query_label = query_label;
-    job_options.progress = progress;
-    job_options.flight = flight;
+    ParallelEvalOptions job_options = run.JobOptions();
     if (options.deadline_seconds > 0) {
       const double remaining = options.deadline_seconds - SecondsSince(start);
       if (remaining <= 0) {
-        Status expired = Status::DeadlineExceeded(
+        return run.Fail(Status::DeadlineExceeded(
             "multi-job evaluation: deadline exceeded after " +
             std::to_string(out.jobs) + " of " +
-            std::to_string(wf.num_measures()) + " jobs");
-        diagnose(expired);
-        return expired;
+            std::to_string(wf.num_measures()) + " jobs"));
       }
       job_options.deadline_seconds = remaining;
     }
@@ -523,68 +353,13 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
                           &out.total_metrics)
             : RunCompositeJob(wf, i, job_options, &engine, &out.results,
                               &out.total_metrics);
-    if (!job_status.ok()) {
-      diagnose(job_status);
-      return job_status;
-    }
+    if (!job_status.ok()) return run.Fail(job_status);
     ++out.jobs;
-    if (ckpt.has_value()) {
-      // Commit the finished job before starting the next one; after an
-      // OK commit a crash cannot lose it. A commit failure degrades the
-      // run — this job's results stay in memory, un-checkpointed, and
-      // the breaker stops hammering a store that keeps failing — but
-      // never fails the query: the caller loses durability, not
-      // results, and the metrics say so.
-      const bool tracing = trace->enabled();
-      if (!breaker.ShouldAttempt()) {
-        if (tracing) {
-          trace->RecordInstant("ckpt", "ckpt-skipped " + name, /*task=*/-1,
-                               "breaker open");
-        }
-        if (flight->enabled()) {
-          flight->Record("ckpt", "ckpt-skipped", /*task=*/i, /*attempt=*/0,
-                         "breaker open: commit of '" + name + "' skipped",
-                         query_label);
-        }
-      } else {
-        const double write_start = tracing ? trace->NowSeconds() : 0;
-        Result<int64_t> bytes =
-            ckpt->CommitJob(i, name, out.results.values(i));
-        if (tracing) {
-          trace->RecordSpan(
-              "ckpt", "ckpt-write " + name, write_start, trace->NowSeconds(),
-              /*task=*/-1, /*attempt=*/0,
-              bytes.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-              bytes.ok() ? "bytes=" + std::to_string(bytes.value())
-                         : bytes.status().ToString(),
-              /*job=*/i);
-        }
-        if (bytes.ok()) {
-          breaker.RecordSuccess();
-          out.total_metrics.checkpoint_bytes_written += bytes.value();
-        } else {
-          breaker.RecordFailure();
-          if (flight->enabled()) {
-            flight->Record("ckpt",
-                           breaker.open() ? "breaker-open" : "ckpt-commit-failed",
-                           /*task=*/i, /*attempt=*/0,
-                           bytes.status().ToString(), query_label);
-          }
-          if (tracing && breaker.open()) {
-            trace->RecordInstant("ckpt", "ckpt-degraded", /*task=*/-1,
-                                 "breaker open: " + bytes.status().ToString());
-          }
-        }
-      }
-    }
+    // Commit the finished job before starting the next one; after an OK
+    // commit a crash cannot lose it.
+    run.CommitJob(i, name, out.results.values(i));
   }
-  out.total_metrics.checkpoint_commit_failures += breaker.commits_failed();
-  out.total_metrics.checkpoint_commits_skipped += breaker.commits_skipped();
-  out.total_metrics.checkpoint_degraded =
-      out.total_metrics.checkpoint_degraded || breaker.degraded();
-  apply_dfs_stats(&out.total_metrics);
-  PublishQueryMetrics(MetricsRegistry::Global(), query_label,
-                      out.total_metrics);
+  run.Finish(&out.total_metrics);
   return out;
 }
 

@@ -1,17 +1,16 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
 // EvaluateParallel and EvaluateParallelShared are thin wrappers over one
-// evaluation pass (RunEvaluationPass): a solo run is its one-member case
-// and a shared batch its k-member case, so the two cannot diverge.
+// evaluation pass (RunEvaluationPass), run inside one QueryRun
+// (core/query_run.h): a solo run is its one-member case and a shared batch
+// its k-member case, so the two cannot diverge.
 
 #include "core/parallel_evaluator.h"
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -19,86 +18,29 @@
 
 #include "agg/combiner.h"
 #include "agg/local_aggregator.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/math.h"
 #include "core/coverage.h"
 #include "core/keygen.h"
+#include "core/query_run.h"
 #include "core/shared_evaluator.h"
 #include "data/record_batch.h"
 #include "local/derivation.h"
 #include "mr/engine.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace casm {
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// One reduce task's share of a member's results. Only the execution that
-/// owns the task's output (the engine's ownership gate) ever writes it, so
-/// its blocks merge in without a lock; it is flushed into the member once,
-/// when the task ends.
-struct ReducerShard {
-  MeasureResultSet results;
-  LocalEvalStats local_stats;
-  Status first_error;
-  int64_t blocks = 0;
-  int64_t filtered = 0;
-};
-
 /// One member workflow of an evaluation pass: its local evaluation
-/// machinery, its per-reducer shards, and the result assembly the shards
-/// flush into.
+/// machinery and the per-reducer shards its owned results assemble in.
 struct MemberRun {
   const Workflow* wf = nullptr;
   std::unique_ptr<SortScanEvaluator> local_eval;
   std::unique_ptr<LocalAggregator> local_agg;
-  std::vector<ReducerShard> shards;  // one per reducer, single writer each
-
-  std::mutex mu;  // guards everything below across reduce-task flushes
-  MeasureResultSet results;
-  LocalEvalStats local_stats;
-  Status first_error;
-  int64_t blocks = 0;
-  int64_t filtered = 0;
-
-  /// Adds one block's owned results to reducer `reducer`'s shard; a
-  /// region the shard already holds violates rule 2.
-  void AddBlock(int reducer, MeasureResultSet&& kept,
-                const LocalEvalStats& stats, int64_t filtered_here) {
-    ReducerShard& shard = shards[static_cast<size_t>(reducer)];
-    ++shard.blocks;
-    shard.filtered += filtered_here;
-    shard.local_stats.Accumulate(stats);
-    if (shard.first_error.ok()) {
-      shard.first_error = shard.results.MergeDisjoint(std::move(kept));
-    }
-  }
-
-  /// Unions reducer `reducer`'s shard into the member's results: the one
-  /// lock acquisition of the task.
-  void Flush(int reducer) {
-    ReducerShard& shard = shards[static_cast<size_t>(reducer)];
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      blocks += shard.blocks;
-      filtered += shard.filtered;
-      local_stats.Accumulate(shard.local_stats);
-      Status s = shard.first_error;
-      if (s.ok()) s = results.MergeDisjoint(std::move(shard.results));
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    // The merge spliced the nodes out; free the emptied bucket arrays now
-    // rather than when the pass ends.
-    shard.results = MeasureResultSet();
-  }
+  std::optional<ResultShards> shards;
 };
 
 /// Erases, in place, the results whose region the block does not own;
@@ -147,39 +89,6 @@ void ApplyEngineOptions(const ParallelEvalOptions& options,
   spec->query_label = options.query_label;
 }
 
-std::string DescribeOptions(const ParallelEvalOptions& options) {
-  auto num = [](int64_t v) { return std::to_string(v); };
-  const char* phase = "full";
-  switch (options.phase) {
-    case ParallelEvalPhase::kMapOnly: phase = "map-only"; break;
-    case ParallelEvalPhase::kShuffleOnly: phase = "shuffle-only"; break;
-    case ParallelEvalPhase::kLocalSortOnly: phase = "local-sort-only"; break;
-    case ParallelEvalPhase::kFull: break;
-  }
-  std::string out = "{";
-  out += "\"num_mappers\":" + num(options.num_mappers);
-  out += ",\"num_reducers\":" + num(options.num_reducers);
-  out += ",\"num_threads\":" + num(options.num_threads);
-  out += ",\"phase\":\"" + std::string(phase) + "\"";
-  out += ",\"memory_budget_bytes\":" + num(options.memory_budget_bytes);
-  out += ",\"emitter_spill_threshold_bytes\":" +
-         num(options.emitter_spill_threshold_bytes);
-  out += ",\"reducer_memory_limit_pairs\":" +
-         num(options.reducer_memory_limit_pairs);
-  out += ",\"max_task_attempts\":" + num(options.max_task_attempts);
-  out += ",\"retry_backoff_initial_ms\":" +
-         num(options.retry_backoff_initial_ms);
-  char deadline[32];
-  std::snprintf(deadline, sizeof(deadline), "%.6g", options.deadline_seconds);
-  out += ",\"deadline_seconds\":" + std::string(deadline);
-  out += ",\"speculative_execution\":";
-  out += options.speculative_execution ? "true" : "false";
-  out += ",\"checkpoint\":";
-  out += options.checkpoint.enabled() ? "true" : "false";
-  out += "}";
-  return out;
-}
-
 namespace {
 
 /// Evaluates one early-aggregation block: merges the shuffled partial
@@ -217,11 +126,8 @@ MeasureResultSet MergePartials(const Workflow& wf, const GroupView& group,
       out_map.emplace(coords, accumulator.Result());
     }
   }
-  for (int i = 0; i < wf.num_measures(); ++i) {
-    if (group.cancelled()) return block_results;
-    if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
-      DeriveCompositeMeasure(wf, i, &block_results);
-    }
+  if (!DeriveComposites(wf, &block_results, group.cancellation_token())) {
+    return block_results;
   }
   // These are shuffled partial-state pairs, not raw input records —
   // counting them as `records` would inflate the early-agg path's stats
@@ -229,41 +135,6 @@ MeasureResultSet MergePartials(const Workflow& wf, const GroupView& group,
   stats->merged_partials += group.size();
   stats->eval_seconds += SecondsSince(eval_start);
   return block_results;
-}
-
-/// The map side's scan: reads rows [begin, end) as RecordBatches of
-/// `batch_rows` (<= 0: CASM_BATCH_SIZE or the default), maps every key
-/// attribute to its key level with one vectorized pass per column, and
-/// calls `on_batch(levels, first_row, n)` where `levels[a][i]` is row
-/// `first_row + i`'s attribute-a key-level coordinate. Returns false when
-/// the attempt was cancelled (deadline, lost speculation race); the engine
-/// discards a cancelled attempt's output, so stopping mid-split is safe.
-template <typename OnBatch>
-bool ScanKeyLevels(const Schema& schema, const Table& table,
-                   const std::vector<KeyGenAttr>& keygen, int64_t batch_rows,
-                   int64_t begin, int64_t end, const Emitter& emitter,
-                   OnBatch&& on_batch) {
-  const int num_attrs = schema.num_attributes();
-  TableScan scan = table.Scan(batch_rows, begin, end);
-  RecordBatch batch(table.row_width(), scan.batch_rows());
-  std::vector<std::vector<int64_t>> cols(
-      static_cast<size_t>(num_attrs),
-      std::vector<int64_t>(static_cast<size_t>(scan.batch_rows())));
-  std::vector<const int64_t*> levels(static_cast<size_t>(num_attrs));
-  for (int a = 0; a < num_attrs; ++a) {
-    levels[static_cast<size_t>(a)] = cols[static_cast<size_t>(a)].data();
-  }
-  while (scan.Next(&batch)) {
-    if (emitter.cancelled()) return false;
-    const int64_t n = batch.num_rows();
-    for (int a = 0; a < num_attrs; ++a) {
-      schema.attribute(a).MapFromFinestColumn(
-          batch.column(a), n, keygen[static_cast<size_t>(a)].level,
-          cols[static_cast<size_t>(a)].data());
-    }
-    on_batch(levels.data(), scan.position(), n);
-  }
-  return true;
 }
 
 /// Calls `fn(block_key, row)` for every block each of the `n` scanned
@@ -294,13 +165,12 @@ void ForEachRecordBlock(const Table& table,
 /// block with the members' local aggregation engines; early-aggregation
 /// plans ship and merge mapper-side partial states. Early aggregation and
 /// combined sort need exactly one member: the combiner and the framework
-/// sort order are per workflow. Callers validate the plan; `progress` and
-/// `query_label` are their resolved observability settings. Engine
-/// failures come back as "parallel evaluation failed: <engine message>".
+/// sort order are per workflow. Callers validate the plan and pass their
+/// QueryRun's JobOptions(). Engine failures come back as "parallel
+/// evaluation failed: <engine message>".
 Result<SharedEvalResult> RunEvaluationPass(
     const std::vector<const Workflow*>& workflows, const Table& table,
     const ExecutionPlan& plan, const ParallelEvalOptions& options,
-    ProgressTracker* progress, const std::string& query_label,
     double* input_locality) {
   CASM_CHECK(!workflows.empty());
   CASM_CHECK(workflows.size() == 1 ||
@@ -308,8 +178,7 @@ Result<SharedEvalResult> RunEvaluationPass(
   const Schema& schema = *workflows[0]->schema();
   const int num_attrs = schema.num_attributes();
   const std::vector<KeyGenAttr> keygen = BuildKeyGen(schema, plan);
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+  TraceRecorder* const trace = options.trace;
 
   // Per-block local evaluation (src/agg): sort/scan for pre-sorted blocks
   // and the sort-only phase, the serial morsel path otherwise. It shares
@@ -324,11 +193,7 @@ Result<SharedEvalResult> RunEvaluationPass(
     m.local_eval = std::make_unique<SortScanEvaluator>(m.wf);
     m.local_agg =
         MakeLocalAggregator(m.wf, m.local_eval.get(), options.local_agg);
-    m.results = MeasureResultSet(m.wf->num_measures());
-    m.shards.resize(num_reducers);
-    for (ReducerShard& shard : m.shards) {
-      shard.results = MeasureResultSet(m.wf->num_measures());
-    }
+    m.shards.emplace(m.wf->num_measures(), options.num_reducers);
   }
   // Reducer r's block row buffer, shared by the members and reused across
   // the task's blocks; like the shards, only r's owning execution uses it.
@@ -342,9 +207,6 @@ Result<SharedEvalResult> RunEvaluationPass(
   spec.map_only = options.phase == ParallelEvalPhase::kMapOnly;
   spec.skip_reduce = options.phase == ParallelEvalPhase::kShuffleOnly;
   ApplyEngineOptions(options, &spec);
-  // The caller's resolutions override what ApplyEngineOptions copied.
-  spec.progress = progress;
-  spec.query_label = query_label;
 
   DistributedFile::Assignment dfs_assignment;
   if (options.input_file != nullptr) {
@@ -373,7 +235,8 @@ Result<SharedEvalResult> RunEvaluationPass(
     spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
       ScanKeyLevels(
           schema, table, keygen, batch_rows, begin, end, *emitter,
-          [&](const int64_t* const* levels, int64_t first_row, int64_t n) {
+          [&](const int64_t* const* levels, int64_t first_row, int64_t n,
+              const RecordBatch&) {
             if (!any_annotated) {
               emitter->EmitBatch(levels, table.row(first_row), n);
               return;
@@ -402,7 +265,8 @@ Result<SharedEvalResult> RunEvaluationPass(
       EarlyAggCombiner combiner(members[0].wf, options.local_agg, trace);
       const bool finished = ScanKeyLevels(
           schema, table, keygen, batch_rows, begin, end, *emitter,
-          [&](const int64_t* const* levels, int64_t first_row, int64_t n) {
+          [&](const int64_t* const* levels, int64_t first_row, int64_t n,
+              const RecordBatch&) {
             ForEachRecordBlock(
                 table, keygen, levels, first_row, n,
                 [&](const int64_t* k, const int64_t* row) {
@@ -443,17 +307,18 @@ Result<SharedEvalResult> RunEvaluationPass(
       // the surrounding run is failing with Cancelled/DeadlineExceeded.
       if (group.cancelled()) return;
       if (options.phase != ParallelEvalPhase::kFull) {
-        m.AddBlock(reducer, MeasureResultSet(m.wf->num_measures()), stats, 0);
+        m.shards->AddBlock(reducer, MeasureResultSet(m.wf->num_measures()),
+                           stats, 0);
         continue;
       }
       const int64_t filtered =
           FilterOwned(*m.wf, keygen, group.key(), &block_results);
-      m.AddBlock(reducer, std::move(block_results), stats, filtered);
+      m.shards->AddBlock(reducer, std::move(block_results), stats, filtered);
     }
   };
   spec.reduce_finish_fn = [&](int reducer) {
     std::vector<int64_t>().swap(block_rows[static_cast<size_t>(reducer)]);
-    for (MemberRun& m : members) m.Flush(reducer);
+    for (MemberRun& m : members) m.shards->Flush(reducer);
   };
 
   const bool tracing = trace->enabled();
@@ -475,13 +340,13 @@ Result<SharedEvalResult> RunEvaluationPass(
   out.metrics = std::move(run).value();
   out.queries.resize(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
-    MemberRun& m = members[i];
-    if (!m.first_error.ok()) return m.first_error;
+    ResultShards::Shard& total = members[i].shards->total();
+    if (!total.first_error.ok()) return total.first_error;
     SharedQueryResult& q = out.queries[i];
-    q.results = std::move(m.results);
-    q.local_stats = m.local_stats;
-    q.blocks_evaluated = m.blocks;
-    q.results_filtered = m.filtered;
+    q.results = std::move(total.results);
+    q.local_stats = total.local_stats;
+    q.blocks_evaluated = total.blocks;
+    q.results_filtered = total.filtered;
   }
   return out;
 }
@@ -507,171 +372,39 @@ Status CheckPlan(const Workflow& wf, const ExecutionPlan& plan) {
   return Status::OK();
 }
 
-/// The query label observability consumers stamp on their output: the
-/// caller's label, or "q<fingerprint>" derived on demand. Computed only
-/// when some consumer is active — the fingerprint hashes the whole input
-/// table, and the disabled path must stay at relaxed-load cost.
-std::string ResolveQueryLabel(const ParallelEvalOptions& options,
-                              const Workflow& wf, const Table& table,
-                              bool observing) {
-  if (!options.query_label.empty()) return options.query_label;
-  if (!observing) return std::string();
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "q%016llx",
-                static_cast<unsigned long long>(FingerprintQuery(wf, table)));
-  return buf;
-}
-
 }  // namespace
 
 Result<ParallelEvalResult> EvaluateParallel(
     const Workflow& wf, const Table& table, const ExecutionPlan& plan,
     const ParallelEvalOptions& options) {
   CASM_RETURN_IF_ERROR(CheckPlan(wf, plan));
-
-  // ---- Live observability resolution (see ParallelEvalOptions): the
-  // flight recorder, the diagnostic-bundle directory, the progress
-  // tracker, and the query label they all stamp. Everything here is
-  // inert — and the label never computed — unless some consumer is on.
-  FlightRecorder* const flight =
-      options.flight != nullptr ? options.flight : FlightRecorder::Global();
-  const std::string diag_dir = !options.diag_dir.empty()
-                                   ? options.diag_dir
-                                   : FlightRecorder::GlobalDiagDir();
-  const double ticker_seconds = options.progress_seconds > 0
-                                    ? options.progress_seconds
-                                    : ProgressTracker::TickerSecondsFromEnv();
-  const bool observing = MetricsRegistry::Global()->enabled() ||
-                         flight->enabled() || !diag_dir.empty() ||
-                         ticker_seconds > 0 || options.progress != nullptr ||
-                         !options.query_label.empty();
-  const std::string query_label =
-      ResolveQueryLabel(options, wf, table, observing);
-  std::optional<ProgressTracker> local_progress;
-  ProgressTracker* progress = options.progress;
-  if (progress == nullptr && observing) {
-    local_progress.emplace(query_label);
-    progress = &*local_progress;
-  }
-  if (ticker_seconds > 0) progress->StartTicker(ticker_seconds);
-  // Bundle-on-failure helper shared by every non-OK exit below: dumps the
-  // flight ring, a metrics snapshot and the resolved options to diag_dir
-  // (no-op when no directory is configured).
-  const auto diagnose = [&](const Status& failure) {
-    MaybeWriteDiagnosticBundle(diag_dir, query_label, failure,
-                               DescribeOptions(options), *flight);
-  };
+  QueryRun run({&wf}, table, options);
+  if (Status s = run.OpenCheckpoint(); !s.ok()) return run.Fail(s);
 
   // Checkpointed single-pass evaluation: the full result set is one log
   // entry keyed by the (workflow, table) fingerprint. The entry label is
   // plan-independent because every feasible plan computes identical
-  // results, so a committed run short-circuits re-runs under any plan.
-  std::optional<CheckpointLog> ckpt;
-  TraceRecorder* const ckpt_trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
-  DfsVolumeStats dfs_base;
-  // Attributes the checkpoint volume's resilience activity (IO retries,
-  // failovers, repairs) since Open to this run's metrics.
-  const auto apply_dfs_stats = [&ckpt, &dfs_base](MapReduceMetrics* m) {
-    if (!ckpt.has_value()) return;
-    const DfsVolumeStats s = ckpt->volume().stats();
-    m->dfs_io_retries += s.io_retries - dfs_base.io_retries;
-    m->dfs_write_failovers += s.write_failovers - dfs_base.write_failovers;
-    m->dfs_corrupt_replicas += s.corrupt_replicas - dfs_base.corrupt_replicas;
-    m->dfs_repaired_replicas +=
-        s.repaired_replicas - dfs_base.repaired_replicas;
-    m->dfs_under_replicated_blocks +=
-        s.under_replicated_blocks - dfs_base.under_replicated_blocks;
-  };
-  int64_t ckpt_restore_failures = 0;
-  if (options.checkpoint.enabled() &&
-      options.phase == ParallelEvalPhase::kFull) {
-    CheckpointOptions ckpt_options = options.checkpoint;
-    if (ckpt_options.volume.fault_plan == nullptr) {
-      ckpt_options.volume.fault_plan = options.fault_plan;
-    }
-    if (ckpt_options.volume.trace == nullptr) {
-      ckpt_options.volume.trace = options.trace;
-    }
-    CASM_ASSIGN_OR_RETURN(
-        CheckpointLog log,
-        CheckpointLog::Open(ckpt_options, FingerprintQuery(wf, table)));
-    ckpt.emplace(std::move(log));
-    dfs_base = ckpt->volume().stats();
-    const bool tracing = ckpt_trace->enabled();
-    const double restore_start = tracing ? ckpt_trace->NowSeconds() : 0;
-    int64_t bytes_restored = 0;
-    Result<MeasureResultSet> restored =
-        ckpt->TryRestoreResultSet("result", &bytes_restored);
-    if (tracing) {
-      ckpt_trace->RecordSpan(
-          "ckpt", "ckpt-restore result", restore_start,
-          ckpt_trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-          restored.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-          restored.ok() ? "bytes=" + std::to_string(bytes_restored)
-                        : restored.status().ToString());
-    }
-    if (restored.ok() &&
-        restored.value().num_measures() == wf.num_measures()) {
-      // A failed restore (never committed, torn, stale) falls through
-      // to a normal evaluation — corruption degrades to recompute.
-      ParallelEvalResult out;
-      out.results = std::move(restored).value();
-      out.metrics.checkpoint_jobs_restored = 1;
-      out.metrics.checkpoint_bytes_restored = bytes_restored;
-      apply_dfs_stats(&out.metrics);
-      PublishQueryMetrics(MetricsRegistry::Global(), query_label,
-                          out.metrics);
-      return out;
-    }
-    if (!restored.ok() &&
-        restored.status().code() != StatusCode::kNotFound) {
-      // Corrupt/torn/stale entry: recompute, but leave a trace of why.
-      ckpt_restore_failures = 1;
-    }
-  }
-
+  // results, so a committed run short-circuits re-runs under any plan. A
+  // failed restore (never committed, torn, stale) falls through to a
+  // normal evaluation: corruption degrades to recompute.
   ParallelEvalResult out;
-  Result<SharedEvalResult> run = RunEvaluationPass(
-      {&wf}, table, plan, options, progress, query_label, &out.input_locality);
-  if (!run.ok()) {
-    diagnose(run.status());
-    return run.status();
+  if (Result<MeasureResultSet> restored = run.RestoreResultSet();
+      restored.ok()) {
+    out.results = std::move(restored).value();
+    run.Finish(&out.metrics);
+    return out;
   }
-  out.metrics = std::move(run->metrics);
-  SharedQueryResult& solo = run->queries[0];
+  Result<SharedEvalResult> pass = RunEvaluationPass(
+      {&wf}, table, plan, run.JobOptions(), &out.input_locality);
+  if (!pass.ok()) return run.Fail(pass.status());
+  out.metrics = std::move(pass->metrics);
+  SharedQueryResult& solo = pass->queries[0];
   out.results = std::move(solo.results);
   out.local_stats = solo.local_stats;
   out.blocks_evaluated = solo.blocks_evaluated;
   out.results_filtered = solo.results_filtered;
-  if (ckpt.has_value()) {
-    const bool ckpt_tracing = ckpt_trace->enabled();
-    const double write_start = ckpt_tracing ? ckpt_trace->NowSeconds() : 0;
-    Result<int64_t> bytes = ckpt->CommitResultSet("result", out.results);
-    if (ckpt_tracing) {
-      ckpt_trace->RecordSpan(
-          "ckpt", "ckpt-write result", write_start, ckpt_trace->NowSeconds(),
-          /*task=*/-1, /*attempt=*/0,
-          bytes.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-          bytes.ok() ? "bytes=" + std::to_string(bytes.value())
-                     : bytes.status().ToString());
-    }
-    if (bytes.ok()) {
-      out.metrics.checkpoint_bytes_written = bytes.value();
-    } else {
-      // Graceful degradation (DESIGN.md §12): a failing checkpoint store
-      // loses durability, never the completed evaluation.
-      out.metrics.checkpoint_commit_failures = 1;
-      out.metrics.checkpoint_degraded = true;
-      if (ckpt_tracing) {
-        ckpt_trace->RecordInstant("ckpt", "ckpt-degraded", /*task=*/-1,
-                                  bytes.status().ToString());
-      }
-    }
-  }
-  out.metrics.checkpoint_restore_failures = ckpt_restore_failures;
-  apply_dfs_stats(&out.metrics);
-  PublishQueryMetrics(MetricsRegistry::Global(), query_label, out.metrics);
+  run.CommitResultSet(out.results);
+  run.Finish(&out.metrics);
   return out;
 }
 
@@ -713,11 +446,12 @@ Result<SharedEvalResult> EvaluateParallelShared(
     CASM_RETURN_IF_ERROR(CheckPlan(*wf, plan));
   }
 
+  QueryRun run(workflows, table, options);
   double input_locality = 1.0;
-  CASM_ASSIGN_OR_RETURN(
-      SharedEvalResult out,
-      RunEvaluationPass(workflows, table, plan, options, options.progress,
-                        options.query_label, &input_locality));
+  Result<SharedEvalResult> pass = RunEvaluationPass(
+      workflows, table, plan, run.JobOptions(), &input_locality);
+  if (!pass.ok()) return run.Fail(pass.status());
+  SharedEvalResult out = std::move(pass).value();
   std::vector<SharedQueryAttribution> attributions;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (queries[i].label.empty()) continue;
@@ -733,10 +467,7 @@ Result<SharedEvalResult> EvaluateParallelShared(
   }
   // The shared job's scan/shuffle counters publish once under the batch
   // label; members get exactly their own reduce-side work.
-  if (!options.query_label.empty()) {
-    PublishQueryMetrics(MetricsRegistry::Global(), options.query_label,
-                        out.metrics);
-  }
+  run.Finish(&out.metrics);
   PublishSharedQueryMetrics(MetricsRegistry::Global(), attributions,
                             static_cast<int>(queries.size()));
   return out;

@@ -144,10 +144,6 @@ struct ParallelEvalOptions {
 void ApplyEngineOptions(const ParallelEvalOptions& options,
                         MapReduceSpec* spec);
 
-/// Renders the resolved options as a one-line JSON object — the
-/// "options" section of a diagnostic bundle (obs/flight_recorder.h).
-std::string DescribeOptions(const ParallelEvalOptions& options);
-
 struct ParallelEvalResult {
   MeasureResultSet results;       // empty unless phase == kFull
   MapReduceMetrics metrics;       // engine metrics (per-reducer workloads)

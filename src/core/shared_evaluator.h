@@ -63,7 +63,7 @@ struct SharedEvalResult {
   /// One entry per member, in input order.
   std::vector<SharedQueryResult> queries;
   /// Metrics of the single shared job (one scan, one shuffle). Published
-  /// once under options.query_label — per-member casm_query_* counters
+  /// once under the batch label — per-member casm_query_* counters
   /// receive only each query's own reduce-side work, so sums across
   /// queries never double-count the shared pass (mr/metrics.h,
   /// PublishSharedQueryMetrics).
@@ -79,7 +79,9 @@ struct SharedEvalResult {
 ///     member-specific);
 ///   * options.phase == kFull; options.checkpoint disabled (the service
 ///     falls back to solo evaluation for checkpointed queries).
-/// options.query_label names the shared batch in metrics/trace output.
+/// options.query_label names the shared batch in metrics, flight events
+/// and its diagnostic bundle; empty derives "q<fingerprint>" of the table
+/// and every member when an observability consumer is active.
 Result<SharedEvalResult> EvaluateParallelShared(
     const std::vector<SharedQuery>& queries, const Table& table,
     const ExecutionPlan& plan, const ParallelEvalOptions& options);

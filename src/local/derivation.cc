@@ -152,4 +152,15 @@ void DeriveCompositeMeasure(const Workflow& wf, int index,
   }
 }
 
+bool DeriveComposites(const Workflow& wf, MeasureResultSet* results,
+                      const CancellationToken* cancel) {
+  for (int i = 0; i < wf.num_measures(); ++i) {
+    if (cancel != nullptr && cancel->cancelled()) return false;
+    if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
+      DeriveCompositeMeasure(wf, i, results);
+    }
+  }
+  return true;
+}
+
 }  // namespace casm

@@ -17,6 +17,7 @@
 #ifndef CASM_LOCAL_DERIVATION_H_
 #define CASM_LOCAL_DERIVATION_H_
 
+#include "common/cancellation.h"
 #include "local/measure_table.h"
 #include "measure/workflow.h"
 
@@ -28,6 +29,13 @@ namespace casm {
 /// and its sources present.
 void DeriveCompositeMeasure(const Workflow& wf, int index,
                             MeasureResultSet* results);
+
+/// Derives every composite measure of `wf` in dependency (index) order
+/// from the basic measures already in `results`, polling `cancel` (may be
+/// null) before each. Returns false if cancelled; the partial `results`
+/// are then to be discarded.
+bool DeriveComposites(const Workflow& wf, MeasureResultSet* results,
+                      const CancellationToken* cancel);
 
 }  // namespace casm
 

@@ -7,19 +7,11 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "local/derivation.h"
 
 namespace casm {
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 SortScanEvaluator::SortScanEvaluator(const Workflow* wf) : wf_(wf) {
   ChoosePlan();
@@ -215,13 +207,7 @@ MeasureResultSet SortScanEvaluator::Evaluate(
       }
     }
 
-    // Composite measures, in dependency (index) order.
-    for (int i = 0; i < wf_->num_measures(); ++i) {
-      if (cancel != nullptr && cancel->cancelled()) return results;
-      if (wf_->measure(i).op != MeasureOp::kAggregateRecords) {
-        DeriveCompositeMeasure(*wf_, i, &results);
-      }
-    }
+    if (!DeriveComposites(*wf_, &results, cancel)) return results;
   }
   double eval_seconds = SecondsSince(eval_start);
 

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/cancellation.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/math.h"
 #include "common/memory_budget.h"
@@ -46,12 +47,6 @@ const char* TaskPhaseName(MapReduceTaskPhase phase) {
 /// engine adds on top of the spill threshold when projecting a map
 /// task's footprint.
 constexpr int64_t kEmitterAccountChunkBytes = 64 * 1024;
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 int CompareKeys(const int64_t* a, const int64_t* b, int width) {
   for (int i = 0; i < width; ++i) {

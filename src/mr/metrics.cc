@@ -8,6 +8,67 @@
 
 namespace casm {
 
+namespace {
+
+/// One `casm_query_<field>_total` counter family and the MapReduceMetrics
+/// field it publishes. The one list of the additive counters: Accumulate()
+/// sums exactly these fields and PublishQueryMetrics() adds exactly these.
+struct QueryCounter {
+  int64_t MapReduceMetrics::*field;
+  const char* name;
+  const char* help;
+};
+
+#define QUERY_COUNTER(field, help) \
+  { &MapReduceMetrics::field, "casm_query_" #field "_total", help }
+constexpr QueryCounter kQueryCounters[] = {
+    QUERY_COUNTER(input_rows, "Input rows consumed by the query"),
+    QUERY_COUNTER(emitted_pairs,
+                  "Key/value pairs emitted by the query's mappers"),
+    QUERY_COUNTER(spilled_runs,
+                  "Reduce-side external-sort runs spilled to disk"),
+    QUERY_COUNTER(spilled_records, "Reduce-side records spilled to disk"),
+    QUERY_COUNTER(emitter_spilled_runs,
+                  "Map-side emitter runs spilled to disk"),
+    QUERY_COUNTER(emitter_spilled_records, "Map-side pairs spilled to disk"),
+    QUERY_COUNTER(emitter_spilled_bytes,
+                  "Bytes of map-side pairs spilled to disk"),
+    QUERY_COUNTER(admission_waits,
+                  "Task launches that queued for memory-budget admission"),
+    QUERY_COUNTER(task_failures,
+                  "Task attempts that failed (faults, non-OK statuses, exceptions)"),
+    QUERY_COUNTER(task_retries, "Task attempts re-run after a failure"),
+    QUERY_COUNTER(speculative_attempts, "Speculative backup attempts launched"),
+    QUERY_COUNTER(speculative_wins,
+                  "Speculative attempts that beat the primary"),
+    QUERY_COUNTER(cancelled_attempts,
+                  "Attempts cancelled mid-flight or after losing the race"),
+    QUERY_COUNTER(checkpoint_jobs_restored,
+                  "Jobs restored from the checkpoint log instead of recomputed"),
+    QUERY_COUNTER(checkpoint_bytes_written,
+                  "Checkpoint payload bytes committed"),
+    QUERY_COUNTER(checkpoint_bytes_restored,
+                  "Checkpoint payload bytes restored"),
+    QUERY_COUNTER(checkpoint_commit_failures, "Checkpoint commits that failed"),
+    QUERY_COUNTER(checkpoint_commits_skipped,
+                  "Checkpoint commits skipped by the open circuit breaker"),
+    QUERY_COUNTER(checkpoint_restore_failures,
+                  "Checkpoint restores that failed verification"),
+    QUERY_COUNTER(dfs_io_retries,
+                  "DFS replica operations replayed after backoff"),
+    QUERY_COUNTER(dfs_write_failovers,
+                  "DFS replicas placed off their preferred node"),
+    QUERY_COUNTER(dfs_corrupt_replicas,
+                  "DFS replica checksum mismatches observed"),
+    QUERY_COUNTER(dfs_repaired_replicas,
+                  "DFS replicas rewritten from a good copy"),
+    QUERY_COUNTER(dfs_under_replicated_blocks,
+                  "DFS blocks observed below their replication target"),
+};
+#undef QUERY_COUNTER
+
+}  // namespace
+
 int64_t MapReduceMetrics::MaxReducerPairs() const {
   int64_t max_pairs = 0;
   for (int64_t p : reducer_pairs) max_pairs = std::max(max_pairs, p);
@@ -114,8 +175,6 @@ std::string MapReduceMetrics::ToString() const {
 }
 
 void MapReduceMetrics::Accumulate(const MapReduceMetrics& other) {
-  input_rows += other.input_rows;
-  emitted_pairs += other.emitted_pairs;
   if (reducer_pairs.size() < other.reducer_pairs.size()) {
     reducer_pairs.resize(other.reducer_pairs.size(), 0);
     reducer_groups.resize(other.reducer_groups.size(), 0);
@@ -126,34 +185,15 @@ void MapReduceMetrics::Accumulate(const MapReduceMetrics& other) {
   for (size_t i = 0; i < other.reducer_groups.size(); ++i) {
     reducer_groups[i] += other.reducer_groups[i];
   }
-  spilled_runs += other.spilled_runs;
-  spilled_records += other.spilled_records;
+  for (const QueryCounter& c : kQueryCounters) {
+    this->*c.field += other.*c.field;
+  }
   // Sequential jobs do not hold their budgets concurrently, so the
   // sequence's peak is the max over jobs, not a sum.
   peak_tracked_bytes = std::max(peak_tracked_bytes, other.peak_tracked_bytes);
-  emitter_spilled_runs += other.emitter_spilled_runs;
-  emitter_spilled_records += other.emitter_spilled_records;
-  emitter_spilled_bytes += other.emitter_spilled_bytes;
-  admission_waits += other.admission_waits;
   admission_wait_seconds += other.admission_wait_seconds;
-  task_failures += other.task_failures;
-  task_retries += other.task_retries;
-  speculative_attempts += other.speculative_attempts;
-  speculative_wins += other.speculative_wins;
-  cancelled_attempts += other.cancelled_attempts;
   deadline_exceeded = deadline_exceeded || other.deadline_exceeded;
-  checkpoint_jobs_restored += other.checkpoint_jobs_restored;
-  checkpoint_bytes_written += other.checkpoint_bytes_written;
-  checkpoint_bytes_restored += other.checkpoint_bytes_restored;
-  checkpoint_commit_failures += other.checkpoint_commit_failures;
-  checkpoint_commits_skipped += other.checkpoint_commits_skipped;
-  checkpoint_restore_failures += other.checkpoint_restore_failures;
   checkpoint_degraded = checkpoint_degraded || other.checkpoint_degraded;
-  dfs_io_retries += other.dfs_io_retries;
-  dfs_write_failovers += other.dfs_write_failovers;
-  dfs_corrupt_replicas += other.dfs_corrupt_replicas;
-  dfs_repaired_replicas += other.dfs_repaired_replicas;
-  dfs_under_replicated_blocks += other.dfs_under_replicated_blocks;
   // Merge the attempt-duration digests and recompute the scalar
   // quantiles from the union, so a sequence's p50 is the median over
   // every attempt in the sequence — not the max of per-job medians.
@@ -178,76 +218,10 @@ void PublishQueryMetrics(MetricsRegistry* registry, const std::string& query,
                          const MapReduceMetrics& metrics) {
   if (registry == nullptr || !registry->enabled()) return;
   const MetricLabels labels = {{"query", query}};
-  auto count = [&](const char* name, const char* help, int64_t value) {
-    registry->GetCounter(name, help, labels)->Increment(value);
-  };
-  count("casm_query_input_rows_total", "Input rows consumed by the query",
-        metrics.input_rows);
-  count("casm_query_emitted_pairs_total",
-        "Key/value pairs emitted by the query's mappers",
-        metrics.emitted_pairs);
-  count("casm_query_spilled_runs_total",
-        "Reduce-side external-sort runs spilled to disk",
-        metrics.spilled_runs);
-  count("casm_query_spilled_records_total",
-        "Reduce-side records spilled to disk", metrics.spilled_records);
-  count("casm_query_emitter_spilled_runs_total",
-        "Map-side emitter runs spilled to disk",
-        metrics.emitter_spilled_runs);
-  count("casm_query_emitter_spilled_records_total",
-        "Map-side pairs spilled to disk", metrics.emitter_spilled_records);
-  count("casm_query_emitter_spilled_bytes_total",
-        "Bytes of map-side pairs spilled to disk",
-        metrics.emitter_spilled_bytes);
-  count("casm_query_admission_waits_total",
-        "Task launches that queued for memory-budget admission",
-        metrics.admission_waits);
-  count("casm_query_task_failures_total",
-        "Task attempts that failed (faults, non-OK statuses, exceptions)",
-        metrics.task_failures);
-  count("casm_query_task_retries_total",
-        "Task attempts re-run after a failure", metrics.task_retries);
-  count("casm_query_speculative_attempts_total",
-        "Speculative backup attempts launched", metrics.speculative_attempts);
-  count("casm_query_speculative_wins_total",
-        "Speculative attempts that beat the primary",
-        metrics.speculative_wins);
-  count("casm_query_cancelled_attempts_total",
-        "Attempts cancelled mid-flight or after losing the race",
-        metrics.cancelled_attempts);
-  count("casm_query_checkpoint_jobs_restored_total",
-        "Jobs restored from the checkpoint log instead of recomputed",
-        metrics.checkpoint_jobs_restored);
-  count("casm_query_checkpoint_bytes_written_total",
-        "Checkpoint payload bytes committed",
-        metrics.checkpoint_bytes_written);
-  count("casm_query_checkpoint_bytes_restored_total",
-        "Checkpoint payload bytes restored",
-        metrics.checkpoint_bytes_restored);
-  count("casm_query_checkpoint_commit_failures_total",
-        "Checkpoint commits that failed",
-        metrics.checkpoint_commit_failures);
-  count("casm_query_checkpoint_commits_skipped_total",
-        "Checkpoint commits skipped by the open circuit breaker",
-        metrics.checkpoint_commits_skipped);
-  count("casm_query_checkpoint_restore_failures_total",
-        "Checkpoint restores that failed verification",
-        metrics.checkpoint_restore_failures);
-  count("casm_query_dfs_io_retries_total",
-        "DFS replica operations replayed after backoff",
-        metrics.dfs_io_retries);
-  count("casm_query_dfs_write_failovers_total",
-        "DFS replicas placed off their preferred node",
-        metrics.dfs_write_failovers);
-  count("casm_query_dfs_corrupt_replicas_total",
-        "DFS replica checksum mismatches observed",
-        metrics.dfs_corrupt_replicas);
-  count("casm_query_dfs_repaired_replicas_total",
-        "DFS replicas rewritten from a good copy",
-        metrics.dfs_repaired_replicas);
-  count("casm_query_dfs_under_replicated_blocks_total",
-        "DFS blocks observed below their replication target",
-        metrics.dfs_under_replicated_blocks);
+  for (const QueryCounter& c : kQueryCounters) {
+    registry->GetCounter(c.name, c.help, labels)->Increment(metrics.*c.field);
+  }
+  // Gauges merge by their own rules in Accumulate (peak: max).
   auto gauge = [&](const char* name, const char* help, double value) {
     registry->GetGauge(name, help, labels)->Set(value);
   };

@@ -2,23 +2,17 @@
 
 #include "obs/flight_recorder.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <unistd.h>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace casm {
 namespace {
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void AppendJsonEscaped(std::string* out, const std::string& s) {
   for (char c : s) {
@@ -56,7 +50,7 @@ void FlightRecorder::Record(const char* category, std::string name,
                             std::string query) {
   if (!enabled()) return;
   FlightEvent event;
-  event.seconds = NowSeconds();
+  event.seconds = SteadyNowSeconds();
   event.category = category;
   event.name = std::move(name);
   event.query = std::move(query);

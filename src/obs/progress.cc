@@ -6,18 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/clock.h"
 #include "obs/metrics.h"
 
 namespace casm {
-namespace {
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 ProgressTracker::ProgressTracker(std::string query, MetricsRegistry* registry)
     : query_(std::move(query)),
@@ -51,7 +43,7 @@ void ProgressTracker::PublishLocked(const PhaseState& state) {
       ->GetGauge("casm_progress_eta_seconds",
                  "Estimated seconds until the labeled query completes",
                  {{"query", query_}})
-      ->Set(EtaSecondsLocked(NowSeconds()));
+      ->Set(EtaSecondsLocked(SteadyNowSeconds()));
 }
 
 void ProgressTracker::BeginPhase(const std::string& phase,
@@ -60,7 +52,7 @@ void ProgressTracker::BeginPhase(const std::string& phase,
   PhaseState* state = PhaseLocked(phase);
   state->total = total_tasks;
   state->completed = 0;
-  state->start_seconds = NowSeconds();
+  state->start_seconds = SteadyNowSeconds();
   state->last_finish_seconds = state->start_seconds;
   state->begun = true;
   PublishLocked(*state);
@@ -70,7 +62,7 @@ void ProgressTracker::TaskFinished(const std::string& phase) {
   std::unique_lock<std::mutex> lock(mu_);
   PhaseState* state = PhaseLocked(phase);
   ++state->completed;
-  state->last_finish_seconds = NowSeconds();
+  state->last_finish_seconds = SteadyNowSeconds();
   PublishLocked(*state);
 }
 
@@ -116,7 +108,7 @@ double ProgressTracker::EtaSecondsLocked(double now) const {
 
 double ProgressTracker::EtaSeconds() const {
   std::unique_lock<std::mutex> lock(mu_);
-  return EtaSecondsLocked(NowSeconds());
+  return EtaSecondsLocked(SteadyNowSeconds());
 }
 
 std::string ProgressTracker::Render() const {
@@ -140,7 +132,7 @@ std::string ProgressTracker::Render() const {
                 : 0.0;
   std::snprintf(buf, sizeof(buf), " %.1f%%", fraction);
   out.append(buf);
-  const double eta = EtaSecondsLocked(NowSeconds());
+  const double eta = EtaSecondsLocked(SteadyNowSeconds());
   if (eta > 0) {
     std::snprintf(buf, sizeof(buf), ", eta %.1fs", eta);
     out.append(buf);

@@ -52,7 +52,7 @@ struct RunReport {
   int64_t dfs_io_retries = 0;      // "dfs-retry" instants
   int64_t dfs_failovers = 0;       // "dfs-failover" instants
   int64_t dfs_repairs = 0;         // "dfs-repair" instants
-  int64_t ckpt_degraded_events = 0;  // breaker opened / commit skipped
+  int64_t ckpt_degraded_events = 0;  // commit failed / commit skipped
 
   /// Plan-cache activity: "plancache" instants (core/plan_cache.h with a
   /// trace recorder installed, e.g. by the multi-query service).

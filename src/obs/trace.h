@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/status.h"
 
 namespace casm {
@@ -107,11 +108,7 @@ class TraceRecorder {
 
   /// Seconds since this recorder's construction (the time base of every
   /// recorded event). Monotonic.
-  double NowSeconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
-  }
+  double NowSeconds() const { return SecondsSince(epoch_); }
 
   /// Records `event`, filling `thread_id` with the calling thread's
   /// ordinal when 0. No-op when disabled.

@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "core/optimizer.h"
 #include "obs/trace.h"
@@ -24,12 +25,6 @@ double EnvDouble(const char* name, double fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;
   return std::atof(env);
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 /// Terminal state for an evaluation status (cancel_requested overrides
@@ -416,10 +411,7 @@ void QueryService::CompleteLocked(Record& record, QueryState state,
                                   Status status) {
   if (record.state == QueryState::kRunning) {
     --in_flight_;
-    record.run_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      record.start_time)
-            .count();
+    record.run_seconds = SecondsSince(record.start_time);
   }
   record.state = state;
   record.status = std::move(status);

@@ -29,6 +29,7 @@
 #include "core/parallel_evaluator.h"
 #include "io/record_codec.h"
 #include "mr/engine.h"
+#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
@@ -586,8 +587,11 @@ TEST(CkptRecoveryTest, SinglePassCommitFailureDegradesNotFails) {
   spec.op = "write";
   spec.probability = 1.0;
   dead_store.Add(spec);
+  FlightRecorder flight;
+  flight.set_enabled(true);
   ParallelEvalOptions opts = EvalOpts(dir);
   opts.fault_plan = &dead_store;
+  opts.flight = &flight;
   opts.checkpoint.volume.io_retry_backoff_initial_ms = 0;
   Result<ParallelEvalResult> degraded =
       EvaluateParallel(wf, table, plan, opts);
@@ -597,6 +601,14 @@ TEST(CkptRecoveryTest, SinglePassCommitFailureDegradesNotFails) {
   EXPECT_EQ(degraded->metrics.checkpoint_bytes_written, 0);
   Status match = CompareResultSets(clean->results, degraded->results, 0.0);
   EXPECT_TRUE(match.ok()) << match.ToString();
+
+  // The single-pass commit goes through the same breaker as a multi-job
+  // sequence's, so it leaves the same flight event.
+  int commit_failed_events = 0;
+  for (const FlightEvent& e : flight.Snapshot()) {
+    if (e.name == "ckpt-commit-failed") ++commit_failed_events;
+  }
+  EXPECT_EQ(commit_failed_events, 1);
 }
 
 TEST(CkptRecoveryTest, StagingGcSkipsLiveWritersInSharedCheckpointDir) {
