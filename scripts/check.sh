@@ -10,8 +10,8 @@
 #   scripts/check.sh asan tsan       # just the named sanitizer legs
 #
 # Configurations:
-#   default  plain RelWithDebInfo-ish build; the tier-1 gate every PR
-#            must keep green.
+#   default  plain Release build with -Werror (CASM_WERROR); the tier-1
+#            gate every PR must keep green.
 #   asan     AddressSanitizer: the fault-tolerance substrate retries
 #            tasks and replays emit buffers, and the memory budget spills
 #            and replays sorted runs — ASan guards those replay paths
@@ -61,7 +61,9 @@ for config in "${configs[@]}"; do
   echo "===== config: $config ====="
   case "$config" in
     default)
-      build_and_test build
+      # Warnings are errors here: src, tests, bench and examples build
+      # clean under GCC 12.
+      build_and_test build -DCASM_WERROR=ON
       ;;
     asan)
       build_and_test build-asan \

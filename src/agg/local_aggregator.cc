@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "agg/batch.h"
 #include "common/clock.h"
@@ -14,8 +13,6 @@
 
 namespace casm {
 namespace {
-
-using AccMap = std::unordered_map<Coords, Accumulator, CoordsHash>;
 
 /// Block counter of one path, resolved once. Increment() is self-guarded,
 /// so a disabled registry costs one relaxed load per evaluated block.
@@ -106,7 +103,7 @@ MeasureResultSet LocalAggregator::EvaluateMorsel(const LocalAggContext& ctx,
           ? 0
           : std::min({agg_internal::ResolveBatchRows(options_.batch_rows),
                       morsel, ctx.n});
-  std::vector<AccMap> acc(num_basics);
+  std::vector<CoordsMap<Accumulator>> acc(num_basics);
   int64_t batches = 0;
   std::unique_ptr<agg_internal::RegionBatchMapper> mapper;
   std::vector<std::vector<const int64_t*>> gran_cols(num_basics);
@@ -152,11 +149,7 @@ MeasureResultSet LocalAggregator::EvaluateMorsel(const LocalAggContext& ctx,
   // The tables hold the block's final groups: finalize them straight into
   // the result, then derive the composites in dependency order.
   for (size_t b = 0; b < num_basics; ++b) {
-    MeasureValueMap& out = results.mutable_values(basics_[b].index);
-    out.reserve(acc[b].size());
-    for (auto& [coords, accumulator] : acc[b]) {
-      out.emplace(coords, accumulator.Result());
-    }
+    FinalizeInto(acc[b], &results.mutable_values(basics_[b].index));
   }
   DeriveComposites(*wf_, &results, ctx.cancel);
 

@@ -46,6 +46,17 @@ std::string FingerprintHex(uint64_t fingerprint) {
   return buf;
 }
 
+/// "q<fingerprint hex>." followed by `suffix`: an entry name of one
+/// query's log. Built with append: GCC 12 reports a false -Wrestrict
+/// overlap on the inlined `"literal" + std::string` form.
+std::string EntryName(uint64_t fingerprint, const std::string& suffix) {
+  const std::string hex = FingerprintHex(fingerprint);
+  std::string name;
+  name.reserve(2 + hex.size() + suffix.size());
+  name.append("q").append(hex).append(".").append(suffix);
+  return name;
+}
+
 void AppendU64Le(std::string* out, uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     out->push_back(static_cast<char>((v >> shift) & 0xffu));
@@ -164,8 +175,9 @@ uint64_t FingerprintWorkflow(const Workflow& workflow) {
       fnv.I64(e.sibling.attr);
       fnv.I64(e.sibling.lo);
       fnv.I64(e.sibling.hi);
-      operand_names.push_back("s" +
-                              std::to_string(operand_names.size()));
+      std::string name = "s";
+      name.append(std::to_string(operand_names.size()));
+      operand_names.push_back(std::move(name));
     }
     fnv.Str(m.expr.empty() ? std::string()
                            : m.expr.ToText(operand_names));
@@ -203,7 +215,7 @@ Result<CheckpointLog> CheckpointLog::Open(const CheckpointOptions& options,
                         DfsVolume::Open(options.dir, options.volume));
   CheckpointLog log(std::move(volume), fingerprint);
   if (options.mode == CheckpointMode::kOverwrite) {
-    const std::string prefix = "q" + FingerprintHex(fingerprint) + ".";
+    const std::string prefix = EntryName(fingerprint, "");
     for (const std::string& name : log.volume_.ListFiles()) {
       if (name.rfind(prefix, 0) == 0) {
         CASM_RETURN_IF_ERROR(log.volume_.DeleteFile(name));
@@ -214,11 +226,13 @@ Result<CheckpointLog> CheckpointLog::Open(const CheckpointOptions& options,
 }
 
 std::string CheckpointLog::JobEntryName(int job) const {
-  return "q" + FingerprintHex(fingerprint_) + ".job" + std::to_string(job);
+  std::string suffix = "job";
+  suffix.append(std::to_string(job));
+  return EntryName(fingerprint_, suffix);
 }
 
 std::string CheckpointLog::ResultEntryName() const {
-  return "q" + FingerprintHex(fingerprint_) + ".result";
+  return EntryName(fingerprint_, "result");
 }
 
 Result<int64_t> CheckpointLog::CommitEntry(const std::string& name,

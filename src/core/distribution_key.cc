@@ -75,7 +75,10 @@ std::string DistributionKey::ToString(const Schema& schema) const {
     first = false;
     out += h.name() + ":" + h.level_name(c.level);
     if (c.annotated()) {
-      out += "(" + std::to_string(c.lo) + "," + std::to_string(c.hi) + ")";
+      // append, not "(" + ...: GCC 12 reports a false -Wrestrict overlap
+      // on the inlined literal-plus-string form.
+      out.append("(").append(std::to_string(c.lo)).append(",");
+      out.append(std::to_string(c.hi)).append(")");
     }
   }
   out += ">";

@@ -6,7 +6,6 @@
 #include <bit>
 #include <chrono>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,9 +33,9 @@ Status AnnotateJobError(const Status& s, const char* kind,
 
 /// Runs job `index` of the sequence (a `kind` job repartitioning
 /// `num_input` rows by `key`) under a "job" trace span: completes `spec`'s
-/// shared settings, flushes `shards` at each reduce task's end and moves
-/// the measure's values into `results`. `spec` brings the job's map and
-/// reduce functions and value width; `options` are the run's
+/// shared settings and moves the measure's values, assembled from
+/// `shards` at the job's commit, into `results`. `spec` brings the job's
+/// map and reduce functions and value width; `options` are the run's
 /// QueryRun::JobOptions().
 Status RunJob(const char* kind, const Workflow& wf, int index,
               const Granularity& key, int64_t num_input,
@@ -49,7 +48,7 @@ Status RunJob(const char* kind, const Workflow& wf, int index,
   spec->num_reducers = options.num_reducers;
   spec->key_width = schema.num_attributes();
   ApplyEngineOptions(options, spec);
-  spec->reduce_finish_fn = [shards](int reducer) { shards->Flush(reducer); };
+  spec->job_commit_fn = [shards] { shards->Assemble(); };
   TraceRecorder* const trace = options.trace;
   const bool tracing = trace->enabled();
   const double job_start = tracing ? trace->NowSeconds() : 0;
@@ -60,9 +59,11 @@ Status RunJob(const char* kind, const Workflow& wf, int index,
                       run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
                       "key=" + key.ToString(schema), /*job=*/index);
   }
-  ResultShards::Shard& job = shards->total();
-  const Status& failed = !run.ok() ? run.status() : job.first_error;
-  if (!failed.ok()) return AnnotateJobError(failed, kind, m.name, index);
+  if (!run.ok()) return AnnotateJobError(run.status(), kind, m.name, index);
+  ResultShards::Total& job = shards->total();
+  if (!job.first_error.ok()) {
+    return AnnotateJobError(job.first_error, kind, m.name, index);
+  }
   results->mutable_values(index) =
       std::move(job.results.mutable_values(index));
   total->Accumulate(run.value());
@@ -101,8 +102,8 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
       if ((i & 4095) == 0 && group.cancelled()) return;
       acc.Add(static_cast<double>(group.value(i)[0]));
     }
-    shards.Add(reducer, index,
-               {{Coords(group.key(), group.key() + num_attrs), acc.Result()}});
+    shards.Add(reducer, index, Coords(group.key(), group.key() + num_attrs),
+               acc.Result());
   };
   return RunJob("basic", wf, index, m.granularity, table.num_rows(), options,
                 engine, &spec, &shards, results, total);
@@ -130,11 +131,11 @@ Status RunCompositeJob(const Workflow& wf, int index,
   }
 
   // Materialize the job input: one row per (edge, source result). The
-  // rows come out in the source maps' iteration order, which is not
-  // reproducible across processes (and differs between a computed map
-  // and one restored from a checkpoint); sort them into (edge, coords)
-  // order so a resumed run feeds every downstream job bit-identical
-  // float accumulation sequences.
+  // rows come out in the source maps' insertion order, which differs
+  // between a computed map and one restored from a checkpoint (the codec
+  // stores entries sorted); sort them into (edge, coords) order so a
+  // resumed run feeds every downstream job bit-identical float
+  // accumulation sequences.
   std::vector<int64_t> input;
   for (size_t ei = 0; ei < m.edges.size(); ++ei) {
     const MeasureEdge& e = m.edges[ei];
@@ -207,8 +208,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
   };
   spec.reduce_fn = [&](int reducer, const GroupView& group) {
     // Split the group's rows per edge.
-    std::vector<std::unordered_map<Coords, double, CoordsHash>> by_edge(
-        m.edges.size());
+    std::vector<CoordsMap<double>> by_edge(m.edges.size());
     std::vector<std::vector<std::pair<Coords, double>>> contributions(
         m.edges.size());
     for (int64_t i = 0; i < group.size(); ++i) {
@@ -235,8 +235,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
         }
       }
       // Index non-seed self edges for lookup.
-      std::vector<std::unordered_map<Coords, double, CoordsHash>> self_maps(
-          m.edges.size());
+      std::vector<CoordsMap<double>> self_maps(m.edges.size());
       for (size_t ei = 0; ei < m.edges.size(); ++ei) {
         if (ei == seed || m.edges[ei].rel != Relationship::kSelf) continue;
         for (auto& [coords, value] : contributions[ei]) {
@@ -271,13 +270,11 @@ Status RunCompositeJob(const Workflow& wf, int index,
         if (complete) local.emplace(coords, m.expr.Eval(operands.data()));
       }
     } else {  // kAggregateSources
-      std::unordered_map<Coords, Accumulator, CoordsHash> acc;
+      CoordsMap<Accumulator> acc;
       for (size_t ei = 0; ei < m.edges.size(); ++ei) {
         if (m.edges[ei].rel == Relationship::kParentChild) continue;
         for (const auto& [coords, value] : contributions[ei]) {
-          auto it = acc.find(coords);
-          if (it == acc.end()) it = acc.emplace(coords, Accumulator(m.fn)).first;
-          it->second.Add(value);
+          acc.try_emplace(coords, m.fn).first->second.Add(value);
         }
       }
       for (size_t ei = 0; ei < m.edges.size(); ++ei) {
@@ -290,13 +287,11 @@ Status RunCompositeJob(const Workflow& wf, int index,
           if (it != by_edge[ei].end()) accumulator.Add(it->second);
         }
       }
-      for (auto& [coords, accumulator] : acc) {
-        local.emplace(coords, accumulator.Result());
-      }
+      FinalizeInto(acc, &local);
     }
 
     if (group.cancelled()) return;
-    shards.Add(reducer, index, std::move(local));
+    shards.Add(reducer, index, local);
   };
   return RunJob("composite", wf, index, join_gran, num_input, options, engine,
                 &spec, &shards, results, total);

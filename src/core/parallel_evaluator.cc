@@ -12,7 +12,6 @@
 #include <chrono>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -98,7 +97,7 @@ MeasureResultSet MergePartials(const Workflow& wf, const GroupView& group,
                                LocalEvalStats* stats) {
   const int num_attrs = wf.schema()->num_attributes();
   const auto eval_start = std::chrono::steady_clock::now();
-  std::vector<std::unordered_map<Coords, Accumulator, CoordsHash>> acc(
+  std::vector<CoordsMap<Accumulator>> acc(
       static_cast<size_t>(wf.num_measures()));
   MeasureResultSet block_results(wf.num_measures());
   double partial[Accumulator::kPartialSize];
@@ -112,19 +111,13 @@ MeasureResultSet MergePartials(const Workflow& wf, const GroupView& group,
     }
     Accumulator incoming =
         Accumulator::FromPartial(wf.measure(mi).fn, partial);
-    auto& map = acc[static_cast<size_t>(mi)];
-    auto it = map.find(coords);
-    if (it == map.end()) {
-      map.emplace(std::move(coords), std::move(incoming));
-    } else {
-      it->second.Merge(incoming);
-    }
+    auto [it, inserted] =
+        acc[static_cast<size_t>(mi)].try_emplace(coords, std::move(incoming));
+    if (!inserted) it->second.Merge(incoming);
   }
   for (int mi : wf.BasicMeasures()) {
-    MeasureValueMap& out_map = block_results.mutable_values(mi);
-    for (auto& [coords, accumulator] : acc[static_cast<size_t>(mi)]) {
-      out_map.emplace(coords, accumulator.Result());
-    }
+    FinalizeInto(acc[static_cast<size_t>(mi)],
+                 &block_results.mutable_values(mi));
   }
   if (!DeriveComposites(wf, &block_results, group.cancellation_token())) {
     return block_results;
@@ -307,18 +300,19 @@ Result<SharedEvalResult> RunEvaluationPass(
       // the surrounding run is failing with Cancelled/DeadlineExceeded.
       if (group.cancelled()) return;
       if (options.phase != ParallelEvalPhase::kFull) {
-        m.shards->AddBlock(reducer, MeasureResultSet(m.wf->num_measures()),
-                           stats, 0);
+        m.shards->AddBlock(reducer, MeasureResultSet(), stats, 0);
         continue;
       }
       const int64_t filtered =
           FilterOwned(*m.wf, keygen, group.key(), &block_results);
-      m.shards->AddBlock(reducer, std::move(block_results), stats, filtered);
+      m.shards->AddBlock(reducer, block_results, stats, filtered);
     }
   };
   spec.reduce_finish_fn = [&](int reducer) {
     std::vector<int64_t>().swap(block_rows[static_cast<size_t>(reducer)]);
-    for (MemberRun& m : members) m.shards->Flush(reducer);
+  };
+  spec.job_commit_fn = [&] {
+    for (MemberRun& m : members) m.shards->Assemble();
   };
 
   const bool tracing = trace->enabled();
@@ -340,7 +334,7 @@ Result<SharedEvalResult> RunEvaluationPass(
   out.metrics = std::move(run).value();
   out.queries.resize(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
-    ResultShards::Shard& total = members[i].shards->total();
+    ResultShards::Total& total = members[i].shards->total();
     if (!total.first_error.ok()) return total.first_error;
     SharedQueryResult& q = out.queries[i];
     q.results = std::move(total.results);

@@ -3,6 +3,7 @@
 #include "core/query_run.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <utility>
 
@@ -264,45 +265,82 @@ void QueryRun::Finish(MapReduceMetrics* metrics) {
 ResultShards::ResultShards(int num_measures, int num_reducers)
     : num_measures_(num_measures),
       shards_(static_cast<size_t>(std::max(0, num_reducers)),
-              Shard{MeasureResultSet(num_measures)}),
-      total_{MeasureResultSet(num_measures)} {}
-
-void ResultShards::Keep(Status s, Shard* shard) {
-  if (!s.ok() && shard->first_error.ok()) shard->first_error = std::move(s);
+              Shard{std::vector<Column>(static_cast<size_t>(num_measures))}) {
 }
 
-void ResultShards::Merge(Shard&& from, Shard* into) {
-  into->blocks += from.blocks;
-  into->filtered += from.filtered;
-  into->local_stats.Accumulate(from.local_stats);
-  Keep(std::move(from.first_error), into);
-  if (into->first_error.ok()) {
-    Keep(into->results.MergeDisjoint(std::move(from.results)), into);
+void ResultShards::Column::Push(const Coords& region, double value,
+                                uint32_t hash) {
+  if (hashes.empty()) width = region.size();
+  CASM_CHECK_EQ(region.size(), width) << "mixed region widths in a measure";
+  words.insert(words.end(), region.begin(), region.end());
+  words.push_back(std::bit_cast<int64_t>(value));
+  hashes.push_back(hash);
+}
+
+void ResultShards::Append(const MeasureValueMap& values, Column* column) {
+  for (const auto& kv : values) {
+    column->Push(kv.first, kv.second, values.hash_at(&kv));
   }
 }
 
-void ResultShards::AddBlock(int reducer, MeasureResultSet&& results,
+void ResultShards::AddBlock(int reducer, const MeasureResultSet& results,
                             const LocalEvalStats& stats, int64_t filtered) {
-  Merge(Shard{std::move(results), stats, Status::OK(), 1, filtered},
-        &shards_[static_cast<size_t>(reducer)]);
-}
-
-void ResultShards::Add(int reducer, int measure, MeasureValueMap&& values) {
   Shard& shard = shards_[static_cast<size_t>(reducer)];
-  Keep(MergeDisjointValues(measure, std::move(values),
-                           &shard.results.mutable_values(measure)),
-       &shard);
-}
-
-void ResultShards::Flush(int reducer) {
-  Shard& shard = shards_[static_cast<size_t>(reducer)];
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    Merge(std::move(shard), &total_);
+  for (int m = 0; m < results.num_measures(); ++m) {
+    Append(results.values(m), &shard.columns[static_cast<size_t>(m)]);
   }
-  // The merge spliced the nodes out; free the emptied bucket arrays now
-  // rather than when the job ends.
-  shard = Shard{MeasureResultSet(num_measures_)};
+  shard.local_stats.Accumulate(stats);
+  ++shard.blocks;
+  shard.filtered += filtered;
+}
+
+void ResultShards::Add(int reducer, int measure,
+                       const MeasureValueMap& values) {
+  Append(values,
+         &shards_[static_cast<size_t>(reducer)]
+              .columns[static_cast<size_t>(measure)]);
+}
+
+void ResultShards::Add(int reducer, int measure, const Coords& region,
+                       double value) {
+  shards_[static_cast<size_t>(reducer)]
+      .columns[static_cast<size_t>(measure)]
+      .Push(region, value, MeasureValueMap::Hash(region));
+}
+
+void ResultShards::Assemble() {
+  if (total_.has_value()) return;
+  Total& total = total_.emplace(Total{MeasureResultSet(num_measures_)});
+  for (const Shard& shard : shards_) {
+    total.local_stats.Accumulate(shard.local_stats);
+    total.blocks += shard.blocks;
+    total.filtered += shard.filtered;
+  }
+  for (int m = 0; m < num_measures_ && total.first_error.ok(); ++m) {
+    const size_t column = static_cast<size_t>(m);
+    size_t n = 0;
+    for (const Shard& shard : shards_) {
+      n += shard.columns[column].hashes.size();
+    }
+    MeasureValueMap& out = total.results.mutable_values(m);
+    out.reserve(n);
+    for (Shard& shard : shards_) {
+      Column& c = shard.columns[column];
+      const int64_t* entry = c.words.data();
+      for (size_t i = 0; i < c.hashes.size(); ++i, entry += c.width + 1) {
+        const Coords region(entry, entry + c.width);
+        if (!out.try_emplace_hashed(c.hashes[i], region,
+                                    std::bit_cast<double>(entry[c.width]))
+                 .second) {
+          total.first_error = DuplicateResult(m);
+          break;
+        }
+      }
+      c = Column();  // free each shard's share as soon as it is copied
+      if (!total.first_error.ok()) break;
+    }
+  }
+  shards_.clear();
 }
 
 }  // namespace casm

@@ -11,7 +11,6 @@
 #define CASM_CORE_QUERY_RUN_H_
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -109,13 +108,18 @@ class QueryRun {
 
 /// Per-reducer result shards of one job. Only the execution that owns a
 /// reduce task's output (the engine's ownership gate) writes its shard, so
-/// shards fill without a lock; Flush() unions a shard into the totals
-/// once, when the task ends, under the one mutex. A region produced twice
-/// fails the job with FailedPrecondition (distribution rule 2).
+/// shards fill without a lock. A shard is append-only: per measure, the
+/// owned (region, value) entries of its blocks packed at the schema's
+/// width, with their stored hashes and no index. Assemble(), run as the
+/// job's commit (MapReduceSpec::job_commit_fn), builds each measure's
+/// result once on the calling thread: sized exactly, filled in reducer
+/// order (so the result's order never depends on thread timing), and
+/// checked there for a region produced twice, which fails the job with
+/// FailedPrecondition (distribution rule 2).
 class ResultShards {
  public:
-  /// One reducer's share of the job, or (total()) the whole job's.
-  struct Shard {
+  /// The whole job's results and the local work behind them.
+  struct Total {
     MeasureResultSet results;
     LocalEvalStats local_stats = {};
     Status first_error = {};  // the first rule-2 violation
@@ -125,29 +129,50 @@ class ResultShards {
 
   ResultShards(int num_measures, int num_reducers);
 
-  /// Adds one block's owned results, and the local-evaluation work and
+  /// Appends one block's owned results, and the local-evaluation work and
   /// ownership-filter drops behind them, to reducer `reducer`'s shard.
-  void AddBlock(int reducer, MeasureResultSet&& results,
+  void AddBlock(int reducer, const MeasureResultSet& results,
                 const LocalEvalStats& stats, int64_t filtered);
-  /// Unions `values` of measure `measure` into reducer `reducer`'s shard.
-  void Add(int reducer, int measure, MeasureValueMap&& values);
+  /// Appends `values` of measure `measure` to reducer `reducer`'s shard.
+  void Add(int reducer, int measure, const MeasureValueMap& values);
+  /// Appends one value of measure `measure` to reducer `reducer`'s shard.
+  void Add(int reducer, int measure, const Coords& region, double value);
 
-  /// The reduce_finish_fn: unions reducer `reducer`'s shard into the
-  /// totals and frees the shard's emptied bucket arrays.
-  void Flush(int reducer);
+  /// Builds the totals from (and frees) the shards; a no-op once built.
+  /// Call when no reduce task can write any more.
+  void Assemble();
 
-  /// The flushed totals; read after the engine run.
-  Shard& total() { return total_; }
+  /// The job's totals (assembled first if need be).
+  Total& total() {
+    Assemble();
+    return *total_;
+  }
 
  private:
-  static void Keep(Status s, Shard* shard);
-  /// Adds `from`'s counts and, while `into` holds no error, its results.
-  static void Merge(Shard&& from, Shard* into);
+  /// One measure's appended entries: entry i is `width` coordinates then
+  /// the value's bits at words[i * (width + 1)], with stored hash
+  /// hashes[i]. Packed rather than a MeasureValueMap::value_type array:
+  /// a region of the paper's 6-attribute schema then takes 60 bytes here,
+  /// not 84 (Coords is sized for the widest schema).
+  struct Column {
+    size_t width = 0;
+    std::vector<int64_t> words;
+    std::vector<uint32_t> hashes;
+
+    void Push(const Coords& region, double value, uint32_t hash);
+  };
+  struct Shard {
+    std::vector<Column> columns;  // one per measure
+    LocalEvalStats local_stats = {};
+    int64_t blocks = 0;
+    int64_t filtered = 0;
+  };
+
+  static void Append(const MeasureValueMap& values, Column* column);
 
   int num_measures_;
   std::vector<Shard> shards_;  // one per reducer, single writer each
-  std::mutex mu_;              // guards total_ across flushes
-  Shard total_;
+  std::optional<Total> total_;
 };
 
 }  // namespace casm

@@ -3,11 +3,11 @@
 #include "core/skew.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/keygen.h"
+#include "cube/coords_map.h"
 #include "mr/engine.h"
 
 namespace casm {
@@ -65,7 +65,7 @@ double EstimateBlockOccupancy(const Workflow& wf, const Table& table,
   const double fraction = std::clamp(options.sample_fraction, 1e-6, 1.0);
   const bool sample_all = fraction >= 1.0;
 
-  std::unordered_set<Coords, CoordsHash> touched;
+  CoordsMap<bool> touched;
   std::vector<int64_t> g(static_cast<size_t>(num_attrs));
   std::vector<int64_t> key(static_cast<size_t>(num_attrs));
   for (int64_t r = 0; r < table.num_rows(); ++r) {
@@ -82,7 +82,7 @@ double EstimateBlockOccupancy(const Workflow& wf, const Table& table,
       owner[static_cast<size_t>(a)] =
           FloorDiv(g[static_cast<size_t>(a)], keygen[static_cast<size_t>(a)].cf);
     }
-    touched.insert(std::move(owner));
+    touched.try_emplace(owner);
   }
   const int64_t total = plan.NumBlocks(schema);
   if (total <= 0) return 1.0;

@@ -104,9 +104,8 @@ inline uint64_t HashCoordWords(const int64_t* words, size_t n) {
   return Fmix64(h);
 }
 
-/// Hash for unordered containers keyed by Coords. Deliberately not
-/// noexcept: libstdc++ then caches each node's hash, which
-/// MergeDisjointValues relies on to splice nodes without re-hashing.
+/// Hash for standard unordered containers keyed by Coords (the reference
+/// evaluator's; production tables are CoordsMap, cube/coords_map.h).
 struct CoordsHash {
   size_t operator()(const Coords& coords) const {
     return static_cast<size_t>(HashCoordWords(coords.data(), coords.size()));

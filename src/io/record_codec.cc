@@ -132,6 +132,12 @@ Result<MeasureValueMap> DecodeMeasureValues(std::string_view bytes) {
       cursor.remaining() / entry_bytes != count) {
     return Status::InvalidArgument("record codec: payload size mismatch");
   }
+  // reserve() checks its bound; a count past it must not reach that check.
+  if (count > MeasureValueMap::kMaxSize) {
+    return Status::InvalidArgument("record codec: entry count " +
+                                   std::to_string(count) +
+                                   " exceeds the supported maximum");
+  }
   MeasureValueMap values;
   values.reserve(static_cast<size_t>(count));
   Coords coords(coord_width);

@@ -3,7 +3,6 @@
 #include "local/derivation.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -69,11 +68,9 @@ void DeriveSourceAggregate(const Workflow& wf, int index,
   const Measure& m = wf.measure(index);
   MeasureValueMap& out = results->mutable_values(index);
 
-  std::unordered_map<Coords, Accumulator, CoordsHash> acc;
+  CoordsMap<Accumulator> acc;
   auto accumulate = [&](const Coords& coords, double value) {
-    auto it = acc.find(coords);
-    if (it == acc.end()) it = acc.emplace(coords, Accumulator(m.fn)).first;
-    it->second.Add(value);
+    acc.try_emplace(coords, m.fn).first->second.Add(value);
   };
 
   // Phase 1: generating edges.
@@ -128,10 +125,7 @@ void DeriveSourceAggregate(const Workflow& wf, int index,
     }
   }
 
-  out.reserve(acc.size());
-  for (auto& [coords, accumulator] : acc) {
-    out.emplace(coords, accumulator.Result());
-  }
+  FinalizeInto(acc, &out);
 }
 
 }  // namespace

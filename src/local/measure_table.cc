@@ -11,6 +11,19 @@
 
 namespace casm {
 
+Status DuplicateResult(int measure) {
+  return Status::FailedPrecondition("duplicate result for measure " +
+                                    std::to_string(measure) +
+                                    " (distribution rule 2 violated)");
+}
+
+void FinalizeInto(const CoordsMap<Accumulator>& acc, MeasureValueMap* out) {
+  out->reserve(out->size() + acc.size());
+  for (const auto& kv : acc) {
+    out->try_emplace_hashed(acc.hash_at(&kv), kv.first, kv.second.Result());
+  }
+}
+
 int64_t MeasureResultSet::TotalResults() const {
   int64_t total = 0;
   for (const MeasureValueMap& m : per_measure_) {
@@ -21,16 +34,7 @@ int64_t MeasureResultSet::TotalResults() const {
 
 Status MergeDisjointValues(int measure, MeasureValueMap&& src,
                            MeasureValueMap* dst) {
-  if (dst->empty()) {
-    dst->swap(src);
-    return Status::OK();
-  }
-  dst->merge(src);
-  if (!src.empty()) {
-    return Status::FailedPrecondition(
-        "duplicate result for measure " + std::to_string(measure) +
-        " (distribution rule 2 violated)");
-  }
+  if (!dst->MergeDisjoint(std::move(src))) return DuplicateResult(measure);
   return Status::OK();
 }
 

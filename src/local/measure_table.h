@@ -8,17 +8,18 @@
 #ifndef CASM_LOCAL_MEASURE_TABLE_H_
 #define CASM_LOCAL_MEASURE_TABLE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "cube/coords_map.h"
 #include "cube/region.h"
 #include "measure/measure.h"
 
 namespace casm {
 
-/// Values of one measure, keyed by region coordinates.
-using MeasureValueMap = std::unordered_map<Coords, double, CoordsHash>;
+/// Values of one measure, keyed by region coordinates, in insertion order
+/// (cube/coords_map.h).
+using MeasureValueMap = CoordsMap<double>;
 
 /// Results for every measure of a workflow. Movable, cheap when empty.
 class MeasureResultSet {
@@ -40,8 +41,8 @@ class MeasureResultSet {
 
   /// Moves `other`'s results in, failing with FailedPrecondition if any
   /// (measure, region) appears in both — this is how the evaluator enforces
-  /// the no-duplicate-results distribution rule. Nodes are spliced, not
-  /// copied (MergeDisjointValues); `other` is left unspecified.
+  /// the no-duplicate-results distribution rule. Entries move in with their
+  /// stored hashes (MergeDisjointValues); `other` is left unspecified.
   Status MergeDisjoint(MeasureResultSet&& other);
 
   /// Results of `measure` sorted by coordinates (for comparison and
@@ -52,13 +53,19 @@ class MeasureResultSet {
   std::vector<MeasureValueMap> per_measure_;
 };
 
-/// Splices every node of `src` into `dst` (std::unordered_map::merge: no
-/// key copy, no re-hash — CoordsHash is not noexcept, so libstdc++ caches
-/// each node's hash). A region already in `dst` stays behind in `src` and
+/// Moves every entry of `src` into `dst` with its stored hash (no re-hash;
+/// an empty `dst` just takes `src`'s storage). A region already in `dst`
 /// fails the merge with FailedPrecondition naming `measure` (distribution
-/// rule 2).
+/// rule 2); `src` is left empty.
 Status MergeDisjointValues(int measure, MeasureValueMap&& src,
                            MeasureValueMap* dst);
+
+/// The rule-2 failure for a region of `measure` produced twice.
+Status DuplicateResult(int measure);
+
+/// Adds every accumulator's final value to `out` under its region, reusing
+/// the stored hashes. `out` must hold none of those regions.
+void FinalizeInto(const CoordsMap<Accumulator>& acc, MeasureValueMap* out);
 
 /// Compares two result sets; returns FailedPrecondition describing the
 /// first mismatch if they differ by more than `tolerance` (relative, with

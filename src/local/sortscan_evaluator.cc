@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -150,7 +149,7 @@ MeasureResultSet SortScanEvaluator::Evaluate(
     };
     std::vector<StreamState> streams;
     std::vector<int> hashed;
-    std::vector<std::unordered_map<Coords, Accumulator, CoordsHash>> hash_acc(
+    std::vector<CoordsMap<Accumulator>> hash_acc(
         static_cast<size_t>(wf_->num_measures()));
     for (int i = 0; i < wf_->num_measures(); ++i) {
       const Measure& m = wf_->measure(i);
@@ -186,12 +185,9 @@ MeasureResultSet SortScanEvaluator::Evaluate(
       for (int mi : hashed) {
         const Measure& m = wf_->measure(mi);
         Coords coords = RegionOfRecord(schema, m.granularity, row);
-        auto& map = hash_acc[static_cast<size_t>(mi)];
-        auto it = map.find(coords);
-        if (it == map.end()) {
-          it = map.emplace(std::move(coords), Accumulator(m.fn)).first;
-        }
-        it->second.Add(static_cast<double>(row[m.field]));
+        hash_acc[static_cast<size_t>(mi)]
+            .try_emplace(coords, m.fn)
+            .first->second.Add(static_cast<double>(row[m.field]));
       }
     }
     for (StreamState& s : streams) {
@@ -201,10 +197,8 @@ MeasureResultSet SortScanEvaluator::Evaluate(
       }
     }
     for (int mi : hashed) {
-      MeasureValueMap& out = results.mutable_values(mi);
-      for (auto& [coords, acc] : hash_acc[static_cast<size_t>(mi)]) {
-        out.emplace(coords, acc.Result());
-      }
+      FinalizeInto(hash_acc[static_cast<size_t>(mi)],
+                   &results.mutable_values(mi));
     }
 
     if (!DeriveComposites(*wf_, &results, cancel)) return results;

@@ -331,7 +331,11 @@ Result<Workflow> ConcatWorkflows(const std::vector<const Workflow*>& members) {
   for (size_t q = 0; q < members.size(); ++q) {
     for (const Measure& m : members[q]->measures()) {
       Measure copy = m;
-      copy.name = "q" + std::to_string(q) + "." + m.name;
+      // Appended into a fresh string: GCC 12 reports a false -Wrestrict
+      // overlap on the inlined `"q" + std::string` form.
+      std::string name = "q";
+      name.append(std::to_string(q)).append(".").append(m.name);
+      copy.name = std::move(name);
       for (MeasureEdge& e : copy.edges) e.source += offset;
       out.measures_.push_back(std::move(copy));
     }

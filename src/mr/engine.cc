@@ -1391,6 +1391,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   metrics.reduce_attempt_max_seconds = reduce_stats.attempt_max_seconds;
   metrics.reduce_attempt_digest = reduce_stats.attempt_durations;
   if (!reduce_status.ok()) return reduce_status;
+  if (!spec.skip_reduce && spec.job_commit_fn) spec.job_commit_fn();
   metrics.reduce_phase_wall_seconds = SecondsSince(reduce_phase_start);
   for (int r = 0; r < num_reducers; ++r) {
     const int winner = reduce_stats.winner_exec[static_cast<size_t>(r)];

@@ -343,6 +343,14 @@ struct MapReduceSpec {
   /// map_only or skip_reduce.
   std::function<void(int reducer)> reduce_finish_fn;
 
+  /// Optional end-of-job hook (Hadoop's OutputCommitter.commitJob):
+  /// invoked once, on the thread that called Run(), after every reduce
+  /// task has finished, and counted in the reduce phase's wall time. Not
+  /// invoked when the reduce phase fails, or under map_only or
+  /// skip_reduce. Reducers use it to assemble the job's output from their
+  /// per-task state in one pass.
+  std::function<void()> job_commit_fn;
+
   /// Optional secondary sort: orders values within a key group (the
   /// combined-sort optimization of §III-D, where the framework sort also
   /// establishes the local algorithm's record order).

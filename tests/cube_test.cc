@@ -134,7 +134,9 @@ TEST(SchemaTest, RejectsDuplicateNames) {
 TEST(SchemaTest, RejectsSchemasWiderThanRegionKeys) {
   std::vector<Hierarchy> attrs;
   for (int i = 0; i <= Schema::kMaxAttributes; ++i) {
-    attrs.push_back(Hierarchy::Numeric("A" + std::to_string(i), 100, {10},
+    attrs.push_back(Hierarchy::Numeric(std::string("A").append(
+                                           std::to_string(i)),
+                                       100, {10},
                                        {"unit", "ten"})
                         .value());
   }

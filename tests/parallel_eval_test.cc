@@ -8,15 +8,18 @@
 
 #include <optional>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
+#include "core/query_run.h"
 #include "core/shared_evaluator.h"
 #include "data/generator.h"
 #include "local/reference_evaluator.h"
+#include "mr/engine.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
 
@@ -269,6 +272,53 @@ TEST(ParallelEvalTest, ReducerShardingNeverChangesAValue) {
         EXPECT_TRUE(same.ok()) << what << ": " << same.ToString();
       }
     }
+  }
+}
+
+TEST(ResultShardsTest, RegionFromTwoReducersFailsTheJobAtAssembly) {
+  // Shards are append-only, so nothing fails while the reduce tasks run;
+  // the assembly at the job's commit, on the calling thread, must still
+  // catch a region two reducers both emitted (distribution rule 2).
+  constexpr int kReducers = 4;
+  for (bool duplicate : {false, true}) {
+    ResultShards shards(/*num_measures=*/2, kReducers);
+    MapReduceEngine engine(/*num_threads=*/3);
+    MapReduceSpec spec;
+    spec.num_mappers = 2;
+    spec.num_reducers = kReducers;
+    spec.key_width = 1;
+    spec.value_width = 1;
+    spec.map_fn = [](int64_t begin, int64_t end, Emitter* emitter) {
+      for (int64_t r = begin; r < end; ++r) emitter->Emit(&r, &r);
+    };
+    spec.reduce_fn = [&](int reducer, const GroupView& group) {
+      shards.Add(reducer, 0, Coords{group.key()[0]}, 1.0);
+    };
+    spec.reduce_finish_fn = [&](int reducer) {
+      if (reducer == 1 || (duplicate && reducer == 3)) {
+        shards.Add(reducer, 1, Coords{7}, static_cast<double>(reducer));
+      }
+    };
+    std::thread::id committed_on;
+    spec.job_commit_fn = [&] {
+      committed_on = std::this_thread::get_id();
+      shards.Assemble();
+    };
+    Result<MapReduceMetrics> run = engine.Run(spec, 32);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(committed_on, std::this_thread::get_id());
+    ResultShards::Total& total = shards.total();
+    if (!duplicate) {
+      ASSERT_TRUE(total.first_error.ok()) << total.first_error;
+      EXPECT_EQ(total.results.values(0).size(), 32u);
+      EXPECT_EQ(total.results.values(1).at(Coords{7}), 1.0);
+      continue;
+    }
+    EXPECT_EQ(total.first_error.code(), StatusCode::kFailedPrecondition)
+        << total.first_error;
+    EXPECT_NE(total.first_error.message().find("measure 1"),
+              std::string::npos)
+        << total.first_error;
   }
 }
 

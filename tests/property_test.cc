@@ -77,7 +77,8 @@ Workflow RandomWorkflow(Rng& rng, const SchemaPtr& schema,
   grans.push_back(g0);
 
   for (int i = 1; i < num_measures; ++i) {
-    const std::string name = "m" + std::to_string(i);
+    std::string name = "m";
+    name.append(std::to_string(i));
     const int source = static_cast<int>(rng.Uniform(static_cast<uint64_t>(i)));
     const Granularity& sg = grans[static_cast<size_t>(source)];
     switch (rng.Uniform(5)) {
