@@ -138,8 +138,6 @@ inline void AppendResourceMetrics(const MapReduceMetrics& metrics,
   row->fields.emplace_back(
       "emitter_spilled_bytes",
       static_cast<double>(metrics.emitter_spilled_bytes));
-  row->fields.emplace_back("reduce_spilled_records",
-                           static_cast<double>(metrics.spilled_records));
   row->fields.emplace_back("budget_admission_waits",
                            static_cast<double>(metrics.admission_waits));
 }

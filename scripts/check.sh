@@ -14,7 +14,7 @@
 #            gate every PR must keep green.
 #   asan     AddressSanitizer: the fault-tolerance substrate retries
 #            tasks and replays emit buffers, and the memory budget spills
-#            and replays sorted runs — ASan guards those replay paths
+#            and replays map-side runs — ASan guards those replay paths
 #            against use-after-free/overflow regressions.
 #   tsan     ThreadSanitizer: speculative execution runs concurrent
 #            executions of one task with cooperative cancellation, an
@@ -63,7 +63,9 @@ for config in "${configs[@]}"; do
     default)
       # Warnings are errors here: src, tests, bench and examples build
       # clean under GCC 12.
-      build_and_test build -DCASM_WERROR=ON
+      # Its own tree, so it never clashes with a plain `cmake -B build`
+      # configured with CMake's default generator.
+      build_and_test build-default -DCASM_WERROR=ON
       ;;
     asan)
       build_and_test build-asan \
@@ -88,7 +90,7 @@ for config in "${configs[@]}"; do
 done
 
 if [ "$run_bench" = "1" ]; then
-  for b in build/bench/*; do
+  for b in build-default/bench/*; do
     if [ -f "$b" ] && [ -x "$b" ]; then
       echo "===== $b ====="
       "$b"

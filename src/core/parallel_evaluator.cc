@@ -67,7 +67,6 @@ int64_t FilterOwned(const Workflow& wf, const std::vector<KeyGenAttr>& keygen,
 
 void ApplyEngineOptions(const ParallelEvalOptions& options,
                         MapReduceSpec* spec) {
-  spec->reducer_memory_limit_pairs = options.reducer_memory_limit_pairs;
   spec->memory_budget_bytes = options.memory_budget_bytes;
   spec->emitter_spill_threshold_bytes = options.emitter_spill_threshold_bytes;
   spec->max_task_attempts = options.max_task_attempts;

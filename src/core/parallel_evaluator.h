@@ -46,9 +46,6 @@ struct ParallelEvalOptions {
   /// concurrency.
   int num_threads = 0;
   ParallelEvalPhase phase = ParallelEvalPhase::kFull;
-  /// Per-reducer framework-sort memory budget in pairs; exceeding it
-  /// spills sorted runs to disk (external sort). 0 = unlimited.
-  int64_t reducer_memory_limit_pairs = 0;
   /// Process-wide byte budget for the evaluation, forwarded to the
   /// engine: emitter buffers are tracked against it and task launches
   /// reserve projected footprints first, queueing under pressure
@@ -56,7 +53,7 @@ struct ParallelEvalOptions {
   /// peak_tracked_bytes still measuring the run. See mr/engine.h.
   int64_t memory_budget_bytes = 0;
   /// Map-side spill threshold in bytes of buffered pairs per task; past
-  /// it emitters spill sorted runs to disk, replayed at shuffle. 0 = no
+  /// it emitters spill runs to disk, replayed at shuffle. 0 = no
   /// map-side spilling (a set memory budget derives a threshold).
   int64_t emitter_spill_threshold_bytes = 0;
   /// Optional block placement of the input table: mappers then read the

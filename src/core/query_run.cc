@@ -33,8 +33,6 @@ std::string DescribeOptions(const ParallelEvalOptions& options) {
   out += ",\"memory_budget_bytes\":" + num(options.memory_budget_bytes);
   out += ",\"emitter_spill_threshold_bytes\":" +
          num(options.emitter_spill_threshold_bytes);
-  out += ",\"reducer_memory_limit_pairs\":" +
-         num(options.reducer_memory_limit_pairs);
   out += ",\"max_task_attempts\":" + num(options.max_task_attempts);
   out += ",\"retry_backoff_initial_ms\":" +
          num(options.retry_backoff_initial_ms);

@@ -660,7 +660,7 @@ Emitter::Emitter(int num_reducers, int key_width, int value_width)
       spilled_(static_cast<size_t>(num_reducers)) {}
 
 Emitter::~Emitter() {
-  DropSpillFiles();
+  DropSpillFile();
   if (budget_ != nullptr) budget_->Release(extra_reserved_bytes_);
 }
 
@@ -762,45 +762,29 @@ void Emitter::EmitBatch(const int64_t* const* key_cols, const int64_t* values,
 void Emitter::SpillBuffers() {
   if (buffered_bytes_ == 0 || !memory_status_.ok()) return;
   const int pair_width = key_width_ + value_width_;
-  const int key_width = key_width_;
   const int64_t runs_before = spilled_runs_;
   const int64_t records_before = spilled_records_;
   static std::atomic<uint64_t> spill_counter{0};
-  std::string path;  // created lazily: only if some buffer is non-empty
+  if (spill_file_.empty()) {
+    spill_file_ = SpillFilePath(spill_dir_, "casm_emit",
+                                spill_counter.fetch_add(1), ".spill");
+  }
   for (size_t r = 0; r < buffers_.size(); ++r) {
     if (buffers_[r].empty()) continue;
-    // Sorting each run is the map-side half of the framework sort: runs
-    // arrive at the reducer pre-grouped, like Hadoop's spill files. With
-    // a spill order installed (the engine passes the job's full key+value
-    // order) the reducer can k-way merge the runs directly instead of
-    // re-sorting their concatenation.
-    std::vector<int64_t> run =
-        run_less_ != nullptr
-            ? SortRecords(std::move(buffers_[r]), pair_width, run_less_)
-            : SortRecords(std::move(buffers_[r]), pair_width,
-                          [key_width](const int64_t* a, const int64_t* b) {
-                            return CompareKeys(a, b, key_width) < 0;
-                          });
-    if (path.empty()) {
-      path = SpillFilePath(spill_dir_, "casm_emit", spill_counter.fetch_add(1),
-                           ".spill");
-      spill_files_.push_back(path);
-    }
-    // Spill runs are column blocks (mr/external_sort.h): the sorted run
-    // is transposed so each of the pair's components is one contiguous
-    // value stream on disk. Reads transpose back, so the replayed pairs
-    // are byte-identical to a row-major spill.
-    Result<int64_t> offset = AppendColumnRun(path, run, pair_width);
+    // Runs are written unsorted, in emission order: GatherReducer replays
+    // them oldest first, so the reducer's stable sort sees exactly the
+    // sequence an unspilled buffer would have given it.
+    const std::vector<int64_t>& run = buffers_[r];
+    Result<int64_t> offset = AppendRun(spill_file_, run);
     if (!offset.ok()) {
       memory_status_ = offset.status();
       return;
     }
-    spilled_[r].push_back(SpillSegment{spill_files_.size() - 1,
-                                       offset.value(),
-                                       static_cast<int64_t>(run.size())});
+    spilled_[r].push_back(
+        SpillSegment{offset.value(), static_cast<int64_t>(run.size())});
     ++spilled_runs_;
     spilled_records_ += static_cast<int64_t>(run.size()) / pair_width;
-    buffers_[r] = std::vector<int64_t>();  // release the moved-out shell
+    buffers_[r] = std::vector<int64_t>();  // release the buffer's capacity
   }
   buffered_bytes_ = 0;
   if (budget_ != nullptr) budget_->Release(extra_reserved_bytes_);
@@ -821,7 +805,7 @@ void Emitter::SpillBuffers() {
     if (registry->enabled()) {
       static MetricsRegistry::Counter* const spills = registry->GetCounter(
           "casm_emitter_spills_total",
-          "Map-side spill events (each writes >= 1 sorted run to disk).");
+          "Map-side spill events (each writes >= 1 run to disk).");
       static MetricsRegistry::Counter* const spilled_records =
           registry->GetCounter(
               "casm_emitter_spilled_records_total",
@@ -843,9 +827,9 @@ Status Emitter::FinalSpill() {
   return memory_status_;
 }
 
-void Emitter::DropSpillFiles() {
-  for (const std::string& path : spill_files_) std::remove(path.c_str());
-  spill_files_.clear();
+void Emitter::DropSpillFile() {
+  if (!spill_file_.empty()) std::remove(spill_file_.c_str());
+  spill_file_.clear();
   for (std::vector<SpillSegment>& segs : spilled_) segs.clear();
 }
 
@@ -856,7 +840,7 @@ void Emitter::Clear() {
   // back to the budget immediately.
   for (std::vector<int64_t>& buf : buffers_) buf = std::vector<int64_t>();
   buffered_bytes_ = 0;
-  DropSpillFiles();
+  DropSpillFile();
   if (budget_ != nullptr) budget_->Release(extra_reserved_bytes_);
   extra_reserved_bytes_ = 0;
   memory_status_ = Status::OK();
@@ -874,32 +858,11 @@ Status Emitter::GatherReducer(int reducer, std::vector<int64_t>* out) const {
   const size_t r = static_cast<size_t>(reducer);
   for (const SpillSegment& seg : spilled_[r]) {
     Result<std::vector<int64_t>> run =
-        ReadColumnRun(spill_files_[seg.file], seg.offset_int64s,
-                      seg.count_int64s, key_width_ + value_width_);
+        ReadRun(spill_file_, seg.offset_int64s, seg.count_int64s);
     CASM_RETURN_IF_ERROR(run.status());
     out->insert(out->end(), run.value().begin(), run.value().end());
   }
   out->insert(out->end(), buffers_[r].begin(), buffers_[r].end());
-  return Status::OK();
-}
-
-bool Emitter::HasSpilledRuns(int reducer) const {
-  return !spilled_[static_cast<size_t>(reducer)].empty();
-}
-
-Status Emitter::GatherReducerRuns(int reducer,
-                                  std::vector<std::vector<int64_t>>* runs,
-                                  std::vector<int64_t>* unsorted_tail) const {
-  const size_t r = static_cast<size_t>(reducer);
-  for (const SpillSegment& seg : spilled_[r]) {
-    Result<std::vector<int64_t>> run =
-        ReadColumnRun(spill_files_[seg.file], seg.offset_int64s,
-                      seg.count_int64s, key_width_ + value_width_);
-    CASM_RETURN_IF_ERROR(run.status());
-    runs->push_back(std::move(run).value());
-  }
-  unsorted_tail->insert(unsorted_tail->end(), buffers_[r].begin(),
-                        buffers_[r].end());
   return Status::OK();
 }
 
@@ -965,9 +928,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   const int key_width = spec.key_width;
 
   // The job's full pair order — key order, then the optional secondary
-  // value order — shared by the emitters' spill runs and the reduce-side
-  // sort/merge. Spilling with the *final* order is what lets the shuffle
-  // merge pre-sorted runs instead of re-sorting the concatenation.
+  // value order — applied by the reducer's one stable sort.
   const std::function<bool(const int64_t*, const int64_t*)> pair_less =
       [&spec, key_width](const int64_t* px, const int64_t* py) {
         int c = CompareKeys(px, py, key_width);
@@ -1086,7 +1047,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       slot->ConfigureMemory(&budget, map_reservation, spill_threshold,
                             spec.spill_dir, tracing ? trace : nullptr,
                             flight, spec.query_label);
-      slot->set_spill_order(pair_less);
     }
     Emitter* emitter = slot.get();
     // Clear-and-replay: drop any pairs (and spilled runs) a failed
@@ -1233,8 +1193,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     double sort_seconds = 0;
     double reduce_seconds = 0;
     int64_t groups = 0;
-    int64_t spilled_runs = 0;
-    int64_t spilled_records = 0;
   };
   std::vector<std::array<ReduceExecStats, 2>> reduce_exec_stats(
       static_cast<size_t>(num_reducers));
@@ -1256,51 +1214,22 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     const double throttle_per_record =
         plan_armed ? plan->RecordThrottleSeconds("reduce", r, attempt) : 0;
     auto sort_start = std::chrono::steady_clock::now();
-    std::vector<int64_t> sorted;
-    ExternalSortStats spill;
-    bool any_spilled = false;
-    for (const Emitter* e : map_out) any_spilled |= e->HasSpilledRuns(r);
-    if (any_spilled && spec.reducer_memory_limit_pairs == 0) {
-      // Merge path: every spilled run is already in the job's full pair
-      // order (the engine installed it as the emitters' spill order), so
-      // a k-way merge replaces the re-sort of the concatenation. Only
-      // the mappers' in-memory tails still need sorting, once, as one
-      // extra run. Skipped when the reducer has its own external-sort
-      // memory cap — ExternalSort handles that bounded-memory regime.
-      std::vector<std::vector<int64_t>> runs;
-      std::vector<int64_t> tail;
-      for (const Emitter* e : map_out) {
-        CASM_RETURN_IF_ERROR(e->GatherReducerRuns(r, &runs, &tail));
-      }
-      if (token->cancelled()) return token->status();
-      if (!tail.empty()) {
-        runs.push_back(SortRecords(std::move(tail), pair_width, pair_less));
-      }
-      sorted = MergeSortedRuns(std::move(runs), pair_width, pair_less);
-    } else {
-      // Gather this reducer's pairs from every (winning) mapper — the
-      // in-memory buffers plus any spilled runs replayed from disk —
-      // then sort by key (and by value within key if a secondary order
-      // is given), spilling to disk beyond the memory budget.
-      std::vector<int64_t> pairs;
-      pairs.reserve(static_cast<size_t>(
-          metrics.reducer_pairs[static_cast<size_t>(r)] * pair_width));
-      for (const Emitter* e : map_out) {
-        CASM_RETURN_IF_ERROR(e->GatherReducer(r, &pairs));
-      }
-      if (token->cancelled()) return token->status();
-      ExternalSortOptions sort_options;
-      sort_options.memory_limit_records = spec.reducer_memory_limit_pairs;
-      sort_options.temp_dir = spec.spill_dir;
-      sort_options.trace = tracing ? trace : nullptr;
-      Result<std::vector<int64_t>> sort_result = ExternalSort(
-          std::move(pairs), pair_width, pair_less, sort_options, &spill);
-      CASM_RETURN_IF_ERROR(sort_result.status());
-      sorted = std::move(sort_result).value();
+    // Gather this reducer's pairs from every (winning) mapper, in mapper
+    // order and each mapper's emission order (spilled runs replayed from
+    // disk, then the in-memory buffer), and sort them once by key (and by
+    // value within key if a secondary order is given). The sort is
+    // stable, so a key group's values arrive in the same order whether
+    // or not any mapper spilled.
+    std::vector<int64_t> pairs;
+    pairs.reserve(static_cast<size_t>(
+        metrics.reducer_pairs[static_cast<size_t>(r)] * pair_width));
+    for (const Emitter* e : map_out) {
+      CASM_RETURN_IF_ERROR(e->GatherReducer(r, &pairs));
     }
+    if (token->cancelled()) return token->status();
+    const std::vector<int64_t> sorted =
+        SortRecords(std::move(pairs), pair_width, pair_less);
     const int64_t count = static_cast<int64_t>(sorted.size()) / pair_width;
-    rs.spilled_runs += spill.runs_spilled;
-    rs.spilled_records += spill.records_spilled;
     rs.sort_seconds += SecondsSince(sort_start);
     if (token->cancelled()) return token->status();
 
@@ -1401,8 +1330,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     metrics.shuffle_sort_seconds += rs.sort_seconds;
     metrics.reduce_seconds += rs.reduce_seconds;
     metrics.reducer_groups[static_cast<size_t>(r)] = rs.groups;
-    metrics.spilled_runs += rs.spilled_runs;
-    metrics.spilled_records += rs.spilled_records;
   }
   metrics.deadline_exceeded =
       spec.deadline_seconds > 0 && job_token.cancelled();

@@ -53,8 +53,10 @@
 // Memory-budgeted execution (the admission-control discipline of the
 // paper's substrate — a task never runs unless its working set fits):
 // `MapReduceSpec::memory_budget_bytes` caps the bytes tracked across the
-// whole run. Emitters account their buffered pairs and spill sorted runs
-// to disk past `emitter_spill_threshold_bytes` (replayed at shuffle);
+// whole run. Emitters account their buffered pairs and spill them as runs,
+// in emission order, to disk past `emitter_spill_threshold_bytes`
+// (replayed at shuffle, so a spilled run reduces bit-identically to an
+// unspilled one);
 // map and reduce task launches reserve a projected footprint before
 // starting and queue — cancellably, deadlines honored — while the budget
 // is full. A single task whose minimum reservation exceeds the whole
@@ -139,7 +141,7 @@ class Emitter {
 
   /// Bytes currently buffered in memory (spilled bytes excluded).
   int64_t buffered_bytes() const { return buffered_bytes_; }
-  /// Sorted runs this emitter has written to disk across its lifetime,
+  /// Runs this emitter has written to disk across its lifetime,
   /// and the pairs they contained (cumulative; Clear() does not reset
   /// them — the I/O happened).
   int64_t spilled_runs() const { return spilled_runs_; }
@@ -174,28 +176,11 @@ class Emitter {
   /// Pairs destined for `reducer`, buffered and spilled combined.
   int64_t PairsForReducer(int reducer) const;
 
-  /// Appends reducer `reducer`'s pairs — in-memory buffer plus replayed
-  /// spilled runs — onto `out` as flattened [key..., value...] records.
+  /// Appends reducer `reducer`'s pairs onto `out` as flattened
+  /// [key..., value...] records in emission order: the spilled runs
+  /// replayed from disk, oldest first, then the in-memory buffer.
+  /// Internal when a run cannot be read back in full.
   Status GatherReducer(int reducer, std::vector<int64_t>* out) const;
-
-  /// True when this emitter spilled at least one run for `reducer`.
-  bool HasSpilledRuns(int reducer) const;
-
-  /// Replays reducer `reducer`'s spilled runs as *separate* vectors
-  /// appended to `runs` (each sorted at spill time — by the spill order
-  /// if one was set, else by key) and appends the unsorted in-memory
-  /// buffer onto `unsorted_tail`. The shuffle uses this to k-way merge
-  /// pre-sorted runs instead of re-sorting the concatenation.
-  Status GatherReducerRuns(int reducer, std::vector<std::vector<int64_t>>* runs,
-                           std::vector<int64_t>* unsorted_tail) const;
-
-  /// Orders pairs within spilled runs (a full [key..., value...] record
-  /// comparator). When it matches the reducer's sort order, spilled runs
-  /// can be merged at shuffle instead of re-sorted; the engine sets the
-  /// job's key+value order here. Unset keeps the key-only spill order.
-  void set_spill_order(std::function<bool(const int64_t*, const int64_t*)> less) {
-    run_less_ = std::move(less);
-  }
 
   /// Arms per-record throttling for the current attempt: every emitted
   /// pair charges `seconds_per_record`, slept cancellably once the owed
@@ -221,22 +206,22 @@ class Emitter {
  private:
   friend class MapReduceEngine;
 
-  /// One spilled sorted run of a reducer's pairs inside a spill file.
+  /// One spilled run of a reducer's pairs inside the spill file.
   struct SpillSegment {
-    size_t file;            // index into spill_files_
     int64_t offset_int64s;  // where the run starts in the file
     int64_t count_int64s;   // run length
   };
 
-  /// Sorts and writes every non-empty reducer buffer as runs to a fresh
-  /// spill file, releases the buffers, and returns incrementally-tracked
-  /// bytes to the budget. Sets memory_status_ on I/O failure.
+  /// Appends every non-empty reducer buffer, unsorted, as a run to this
+  /// execution's spill file, releases the buffers, and returns
+  /// incrementally-tracked bytes to the budget. Sets memory_status_ on
+  /// I/O failure.
   void SpillBuffers();
   /// Post-emit accounting shared by Emit and EmitBatch: counts the pair's
   /// bytes, spills past the threshold, and reserves budget chunks.
   void AccountEmittedPair();
-  /// Deletes this execution's spill files and forgets the segments.
-  void DropSpillFiles();
+  /// Deletes this execution's spill file and forgets the segments.
+  void DropSpillFile();
 
   int key_width_;
   int value_width_;
@@ -260,10 +245,9 @@ class Emitter {
   int64_t spilled_runs_ = 0;
   int64_t spilled_records_ = 0;
   Status memory_status_;
-  std::vector<std::string> spill_files_;
+  /// This execution's spill file; empty until the first spill.
+  std::string spill_file_;
   std::vector<std::vector<SpillSegment>> spilled_;  // per reducer
-  /// Full-record order for spilled runs (see set_spill_order).
-  std::function<bool(const int64_t*, const int64_t*)> run_less_;
   // Per-record throttling (see set_record_throttle).
   double throttle_seconds_per_record_ = 0;
   double throttle_owed_seconds_ = 0;
@@ -361,11 +345,7 @@ struct MapReduceSpec {
   /// Group pairs by key but skip reduce_fn (the "MR" bar of Fig 4(d)).
   bool skip_reduce = false;
 
-  /// Per-reducer memory budget for the framework sort, in pairs; when a
-  /// reducer's input exceeds it, sorted runs spill to disk and are merged
-  /// (external sorting, paper §III-A). 0 = unlimited.
-  int64_t reducer_memory_limit_pairs = 0;
-  /// Spill directory (empty = system temp dir).
+  /// Directory for map-side spill runs (empty = system temp dir).
   std::string spill_dir;
 
   // ---- Memory accounting and admission control (paper §III-A: the
@@ -383,8 +363,9 @@ struct MapReduceSpec {
   /// the budget across the shuffle.
   int64_t memory_budget_bytes = 0;
   /// Map-side spill threshold per task execution, in bytes of flattened
-  /// pairs: past it the emitter sorts each reducer's buffer by key and
-  /// spills it as a run to `spill_dir`, replaying the runs at shuffle.
+  /// pairs: past it the emitter writes each reducer's buffer, in
+  /// emission order, as a run to `spill_dir`, replaying the runs at
+  /// shuffle.
   /// 0 = no map-side spilling (unless derived from memory_budget_bytes).
   int64_t emitter_spill_threshold_bytes = 0;
 

@@ -1,10 +1,10 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// External merge sort of fixed-width int64 records (the reducer-side
-// "collect pairs and use external sorting to group pairs with the same
-// key" of paper §III-A). When the input fits the memory budget it is a
-// plain in-memory sort; otherwise sorted runs are spilled to temporary
-// files and k-way merged.
+// The shuffle's sort and spill primitives over fixed-width int64 records
+// (the reducer-side "collect pairs and sort them to group pairs with the
+// same key" of paper §III-A). Map-side spills write each reducer's pairs
+// as row-major runs in emission order; the reducer replays them and runs
+// one stable in-memory sort, so spilling never changes a value.
 
 #ifndef CASM_MR_EXTERNAL_SORT_H_
 #define CASM_MR_EXTERNAL_SORT_H_
@@ -18,29 +18,6 @@
 
 namespace casm {
 
-class TraceRecorder;
-
-struct ExternalSortOptions {
-  /// Maximum records held in memory at once; 0 = unlimited (pure
-  /// in-memory sort).
-  int64_t memory_limit_records = 0;
-  /// Directory for spill files; empty = std::filesystem::temp_directory_path().
-  std::string temp_dir;
-  /// Optional run-trace recorder (obs/trace.h): each spilled run is
-  /// recorded as a "memory" instant. Not owned; may be null.
-  TraceRecorder* trace = nullptr;
-  /// Test-only: invoked after all runs have been spilled, before the
-  /// merge opens them. Lets fault-injection tests corrupt or truncate a
-  /// run on disk to exercise the merge's error paths.
-  std::function<void(const std::vector<std::string>& run_paths)>
-      post_spill_hook;
-};
-
-struct ExternalSortStats {
-  int64_t runs_spilled = 0;
-  int64_t records_spilled = 0;
-};
-
 /// Record comparator over two record pointers (each `width` int64s).
 using RecordLess = std::function<bool(const int64_t*, const int64_t*)>;
 
@@ -49,13 +26,13 @@ using RecordLess = std::function<bool(const int64_t*, const int64_t*)>;
 /// `token` is a per-process random value drawn once at first use. A
 /// process-local counter alone is NOT enough: two `ctest -j` workers
 /// both counting from zero would open the same file and corrupt each
-/// other's merges.
+/// other's runs.
 std::string SpillFilePath(const std::string& dir, const char* prefix,
                           uint64_t seq, const char* ext);
 
 /// In-memory stable sort of a flat buffer of `width`-int64 records by
-/// `less` (the run-formation step of the external sort, exposed for
-/// map-side spilling: the Emitter sorts each run by key before writing it).
+/// `less`: records that compare equal keep their input order (the
+/// reducer's framework sort, and the multi-job evaluator's).
 std::vector<int64_t> SortRecords(std::vector<int64_t> records, int width,
                                  const RecordLess& less);
 
@@ -70,42 +47,6 @@ Result<int64_t> AppendRun(const std::string& path,
 Result<std::vector<int64_t>> ReadRun(const std::string& path,
                                      int64_t offset_int64s,
                                      int64_t count_int64s);
-
-/// Appends `records` — row-major `width`-int64 records — as a *column
-/// block* run: on disk the run holds column 0 of every record, then
-/// column 1, and so on (n values per column for an n-record run). Offsets
-/// and lengths are identical to AppendRun (the transpose is in-place in
-/// the run region), so SpillSegment bookkeeping works unchanged; pair it
-/// with ReadColumnRun, which transposes back. Column blocks turn the
-/// spill write into `width` long sequential value streams — the layout
-/// the batched emitters and any future per-column compression want.
-Result<int64_t> AppendColumnRun(const std::string& path,
-                                const std::vector<int64_t>& records,
-                                int width);
-
-/// Reads a column-block run written by AppendColumnRun and returns it
-/// transposed back to row-major records — byte-identical to what was
-/// passed to AppendColumnRun. `count_int64s` must be a multiple of
-/// `width`.
-Result<std::vector<int64_t>> ReadColumnRun(const std::string& path,
-                                           int64_t offset_int64s,
-                                           int64_t count_int64s, int width);
-
-/// K-way merges `runs` — each a flat buffer of `width`-int64 records
-/// already sorted by `less` — into one sorted flat buffer. The in-memory
-/// counterpart of ExternalSort's spill-file merge: the shuffle uses it to
-/// merge pre-sorted map-side spill runs instead of re-sorting their
-/// concatenation (O(n log k) comparisons for k runs vs O(n log n)).
-std::vector<int64_t> MergeSortedRuns(std::vector<std::vector<int64_t>> runs,
-                                     int width, const RecordLess& less);
-
-/// Sorts `records` (flattened rows of `width` int64s) by `less`, spilling
-/// to disk when the memory budget is exceeded. Returns the sorted flat
-/// buffer. `stats` may be null.
-Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
-                                          int width, const RecordLess& less,
-                                          const ExternalSortOptions& options,
-                                          ExternalSortStats* stats);
 
 }  // namespace casm
 

@@ -25,9 +25,6 @@ constexpr QueryCounter kQueryCounters[] = {
     QUERY_COUNTER(input_rows, "Input rows consumed by the query"),
     QUERY_COUNTER(emitted_pairs,
                   "Key/value pairs emitted by the query's mappers"),
-    QUERY_COUNTER(spilled_runs,
-                  "Reduce-side external-sort runs spilled to disk"),
-    QUERY_COUNTER(spilled_records, "Reduce-side records spilled to disk"),
     QUERY_COUNTER(emitter_spilled_runs,
                   "Map-side emitter runs spilled to disk"),
     QUERY_COUNTER(emitter_spilled_records, "Map-side pairs spilled to disk"),

@@ -45,18 +45,13 @@ struct MapReduceMetrics {
   /// Distinct key groups per reducer.
   std::vector<int64_t> reducer_groups;
 
-  /// External-sort spill activity across all reducers (0 when the inputs
-  /// fit the memory budget).
-  int64_t spilled_runs = 0;
-  int64_t spilled_records = 0;
-
   // Memory accounting and admission control (common/memory_budget.h).
   /// High-water mark of bytes tracked against the run's memory budget
   /// (emitter buffers + task footprint reservations). With
   /// `memory_budget_bytes` set this never exceeds the budget; with no
   /// budget it measures the unbounded run's peak.
   int64_t peak_tracked_bytes = 0;
-  /// Map-side spill activity: sorted runs the emitters wrote to disk past
+  /// Map-side spill activity: runs the emitters wrote to disk past
   /// `emitter_spill_threshold_bytes`, the pairs they contained (replayed
   /// at shuffle; 0 when spilling is off), and the bytes those pairs
   /// occupied on disk (records x pair width x 8).

@@ -40,7 +40,7 @@ struct RunReport {
   std::vector<PhaseAttemptHistogram> phases;  // encounter order (map first)
   int64_t admission_waits = 0;       // "memory"/"admission" spans
   double admission_wait_seconds = 0;
-  int64_t spill_events = 0;          // emitter-spill / sort-spill instants
+  int64_t spill_events = 0;          // emitter-spill instants
   int64_t pool_queue_spans = 0;      // "pool"/"queue-wait" spans
   double pool_queue_seconds = 0;
 

@@ -10,6 +10,7 @@
 // evaluator).
 
 #include <cstdlib>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "local/reference_evaluator.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
-#include "mr/external_sort.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
 
@@ -311,29 +311,56 @@ MeasureResultSet OneRowAnchor(const Workflow& wf, const Table& table,
 }
 
 TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
-  Workflow wf = MakePaperQuery(PaperQuery::kQ5);
-  Table table = PaperUniformTable(3000, 53);
-  ExecutionPlan plan;
-  plan.key = DeriveDistributionKeys(wf).query_key;
-  const MeasureResultSet anchor = OneRowAnchor(wf, table, plan);
+  // Spill transparency rides on the same ladder: a spilled run must reduce
+  // bit-identically to an unspilled one. Weblog and Q6 are the workflows
+  // whose measure-3 values once moved in the last bit when the shuffle
+  // heap-merged sorted spill runs. Q5 crosses the whole batch ladder with
+  // the spill ladder; the others run the spill ladder at the default
+  // batch size, since EmitBatch accounts pair by pair and so spills at
+  // the same pairs whatever the batch size.
+  struct PipelineCase {
+    const char* name;
+    Workflow wf;
+    Table table;
+    int64_t clustering_factor;
+    std::vector<int64_t> batch_sizes;
+  };
+  const std::vector<int64_t> default_batch = {kDefaultBatchRows};
+  const PipelineCase cases[] = {
+      {"Q5", MakePaperQuery(PaperQuery::kQ5), PaperUniformTable(3000, 53), 1,
+       std::vector<int64_t>(std::begin(kBatchSizes), std::end(kBatchSizes))},
+      {"weblog cf=1", MakeWeblogWorkflow(), WeblogTable(6000, 1), 1,
+       default_batch},
+      {"weblog cf=4", MakeWeblogWorkflow(), WeblogTable(6000, 2), 4,
+       default_batch},
+      {"Q6", MakePaperQuery(PaperQuery::kQ6), PaperUniformTable(4000, 9), 1,
+       default_batch},
+  };
+  for (const PipelineCase& c : cases) {
+    ExecutionPlan plan;
+    plan.key = DeriveDistributionKeys(c.wf).query_key;
+    plan.clustering_factor = c.clustering_factor;
+    const MeasureResultSet anchor = OneRowAnchor(c.wf, c.table, plan);
 
-  for (int64_t batch_rows : kBatchSizes) {
-    // The spill threshold ladder covers: no spill, and a threshold tight
-    // enough that every mapper spills multiple column-block runs.
-    for (int64_t spill : {int64_t{0}, int64_t{1} << 12}) {
-      Result<ParallelEvalResult> batched =
-          EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, spill));
-      ASSERT_TRUE(batched.ok())
-          << "batch_rows=" << batch_rows << " spill=" << spill << ": "
-          << batched.status().ToString();
-      if (spill > 0) {
-        EXPECT_GT(batched->metrics.emitter_spilled_runs, 0)
-            << "spill threshold did not trigger; tighten the test";
+    for (int64_t batch_rows : c.batch_sizes) {
+      // The spill threshold ladder covers: no spill, a threshold tight
+      // enough that every mapper spills many runs, and one that spills
+      // every few pairs.
+      for (int64_t spill : {int64_t{0}, int64_t{1} << 12, int64_t{256}}) {
+        Result<ParallelEvalResult> batched = EvaluateParallel(
+            c.wf, c.table, plan, PipelineOpts(batch_rows, spill));
+        ASSERT_TRUE(batched.ok())
+            << c.name << " batch_rows=" << batch_rows << " spill=" << spill
+            << ": " << batched.status().ToString();
+        if (spill > 0) {
+          EXPECT_GT(batched->metrics.emitter_spilled_runs, 0)
+              << "spill threshold did not trigger; tighten the test";
+        }
+        Status match = CompareResultSets(anchor, batched->results, 0.0);
+        EXPECT_TRUE(match.ok())
+            << c.name << " batch_rows=" << batch_rows << " spill=" << spill
+            << ": " << match.ToString();
       }
-      Status match = CompareResultSets(anchor, batched->results, 0.0);
-      EXPECT_TRUE(match.ok())
-          << "batch_rows=" << batch_rows << " spill=" << spill << ": "
-          << match.ToString();
     }
   }
 }
@@ -372,35 +399,6 @@ TEST(BatchDifferentialTest, AnnotatedKeyPipelineMatchesOneRowAnchor) {
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }
-}
-
-// ------------------------------------------------ column-run spill io/
-
-TEST(ColumnRunTest, AppendReadRoundTrip) {
-  const int width = 5;
-  std::vector<int64_t> records;
-  for (int64_t r = 0; r < 37; ++r) {
-    for (int c = 0; c < width; ++c) records.push_back(r * 100 + c);
-  }
-  const std::string path =
-      (std::string(::testing::TempDir()) + "/batch_test_column_run.spill");
-  std::remove(path.c_str());
-  Result<int64_t> first = AppendColumnRun(path, records, width);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  std::vector<int64_t> second_records(records.rbegin(), records.rend());
-  Result<int64_t> second = AppendColumnRun(path, second_records, width);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-
-  Result<std::vector<int64_t>> read_first = ReadColumnRun(
-      path, first.value(), static_cast<int64_t>(records.size()), width);
-  ASSERT_TRUE(read_first.ok()) << read_first.status().ToString();
-  EXPECT_EQ(read_first.value(), records);
-  Result<std::vector<int64_t>> read_second = ReadColumnRun(
-      path, second.value(), static_cast<int64_t>(second_records.size()),
-      width);
-  ASSERT_TRUE(read_second.ok()) << read_second.status().ToString();
-  EXPECT_EQ(read_second.value(), second_records);
-  std::remove(path.c_str());
 }
 
 }  // namespace

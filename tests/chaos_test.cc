@@ -99,8 +99,8 @@ FaultPlan MakeChaosPlan(uint64_t seed) {
   return plan;
 }
 
-/// Chaos evaluation options: tight memory everywhere (external sort,
-/// map-side spills, engine byte budget), a checkpoint volume so the DFS
+/// Chaos evaluation options: tight memory everywhere (map-side spills,
+/// engine byte budget), a checkpoint volume so the DFS
 /// fault domains are on the hot path, and a retry budget generous enough
 /// that probabilistic crashes usually — not always — recover.
 ParallelEvalOptions ChaosOpts(const std::string& ckpt_dir) {
@@ -109,7 +109,6 @@ ParallelEvalOptions ChaosOpts(const std::string& ckpt_dir) {
   o.num_reducers = 4;
   o.num_threads = 2;
   o.max_task_attempts = 4;
-  o.reducer_memory_limit_pairs = 64;        // force external sorts
   o.emitter_spill_threshold_bytes = 1024;   // force map-side spills
   o.memory_budget_bytes = 8 << 20;
   o.retry_backoff_initial_ms = 1;

@@ -1,194 +1,37 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Tests for the external merge sort and its engine integration: spilled
-// sorts must be byte-identical to in-memory sorts, stable end-to-end query
-// results must survive arbitrarily small memory budgets, and spill
-// activity must be reported.
+// Tests for the shuffle's sort and spill primitives: the stable record
+// sort, spill-run append/replay and spill-file naming, and the emitter
+// spill path's failure modes — an unwritable spill directory or a
+// truncated run must surface as a Status, never a crash or a silent
+// short read.
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
-#include <mutex>
-#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "core/key_derivation.h"
-#include "core/parallel_evaluator.h"
-#include "local/reference_evaluator.h"
 #include "mr/engine.h"
 #include "mr/external_sort.h"
-#include "queries/paper_data.h"
-#include "queries/paper_queries.h"
 
 namespace casm {
 namespace {
 
-std::vector<int64_t> RandomRecords(int64_t count, int width, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<int64_t> records(static_cast<size_t>(count * width));
-  for (int64_t& v : records) {
-    v = static_cast<int64_t>(rng.Uniform(1000));
-  }
-  return records;
-}
-
-RecordLess LexLess(int width) {
-  return [width](const int64_t* a, const int64_t* b) {
-    for (int i = 0; i < width; ++i) {
-      if (a[i] != b[i]) return a[i] < b[i];
-    }
-    return false;
+TEST(SortRecordsTest, StableForRecordsThatCompareEqual) {
+  // Width-2 records ordered by their first column only: records with
+  // equal keys must keep their input order, which is what makes a key
+  // group's values arrive in emission order at the reducer.
+  const std::vector<int64_t> records = {5, 1, 5, 2, 5, 3, 1, 9};
+  const RecordLess key_less = [](const int64_t* a, const int64_t* b) {
+    return a[0] < b[0];
   };
-}
-
-TEST(ExternalSortTest, InMemoryWhenUnderLimit) {
-  std::vector<int64_t> records = RandomRecords(100, 3, 1);
-  ExternalSortStats stats;
-  Result<std::vector<int64_t>> sorted =
-      ExternalSort(records, 3, LexLess(3), {}, &stats);
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(stats.runs_spilled, 0);
-  for (int64_t i = 1; i < 100; ++i) {
-    EXPECT_FALSE(LexLess(3)(sorted->data() + i * 3, sorted->data() + (i - 1) * 3));
-  }
-}
-
-class ExternalSortLimits : public ::testing::TestWithParam<int64_t> {};
-
-TEST_P(ExternalSortLimits, SpilledSortEqualsInMemorySort) {
-  const int width = 2;
-  std::vector<int64_t> records = RandomRecords(997, width, 7);
-  Result<std::vector<int64_t>> expected =
-      ExternalSort(records, width, LexLess(width), {}, nullptr);
-  ASSERT_TRUE(expected.ok());
-
-  ExternalSortOptions options;
-  options.memory_limit_records = GetParam();
-  ExternalSortStats stats;
-  Result<std::vector<int64_t>> spilled =
-      ExternalSort(records, width, LexLess(width), options, &stats);
-  ASSERT_TRUE(spilled.ok());
-  EXPECT_EQ(spilled.value(), expected.value()) << "limit=" << GetParam();
-  EXPECT_GT(stats.runs_spilled, 1);
-  EXPECT_EQ(stats.records_spilled, 997);
-}
-
-INSTANTIATE_TEST_SUITE_P(Limits, ExternalSortLimits,
-                         ::testing::Values<int64_t>(1, 7, 100, 996));
-
-TEST(ExternalSortTest, EmptyInput) {
-  ExternalSortOptions options;
-  options.memory_limit_records = 4;
-  Result<std::vector<int64_t>> sorted =
-      ExternalSort({}, 2, LexLess(2), options, nullptr);
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_TRUE(sorted->empty());
-}
-
-TEST(ExternalSortTest, PreservesDuplicates) {
-  std::vector<int64_t> records = {5, 1, 5, 2, 5, 3, 1, 9};  // width 2
-  ExternalSortOptions options;
-  options.memory_limit_records = 2;
-  Result<std::vector<int64_t>> sorted =
-      ExternalSort(records, 2, LexLess(2), options, nullptr);
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted.value(),
+  EXPECT_EQ(SortRecords(records, 2, key_less),
             (std::vector<int64_t>{1, 9, 5, 1, 5, 2, 5, 3}));
-}
-
-TEST(ExternalSortTest, EngineSpillsAndStaysCorrect) {
-  MapReduceEngine engine(2);
-  MapReduceSpec spec;
-  spec.num_mappers = 3;
-  spec.num_reducers = 2;
-  spec.key_width = 1;
-  spec.value_width = 1;
-  spec.reducer_memory_limit_pairs = 50;  // force spills (500 pairs total)
-  spec.map_fn = [](int64_t begin, int64_t end, Emitter* emitter) {
-    for (int64_t i = begin; i < end; ++i) {
-      int64_t key = i % 13;
-      int64_t value = 1;
-      emitter->Emit(&key, &value);
-    }
-  };
-  std::mutex mu;
-  std::map<int64_t, int64_t> sums;
-  spec.reduce_fn = [&](int reducer, const GroupView& group) {
-    int64_t total = 0;
-    for (int64_t i = 0; i < group.size(); ++i) total += group.value(i)[0];
-    std::unique_lock<std::mutex> lock(mu);
-    sums[group.key()[0]] += total;
-  };
-  Result<MapReduceMetrics> metrics = engine.Run(spec, 650);
-  ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_GT(metrics->spilled_runs, 0);
-  ASSERT_EQ(sums.size(), 13u);
-  for (const auto& [key, total] : sums) EXPECT_EQ(total, 50) << key;
-}
-
-TEST(ExternalSortTest, ParallelQueryExactUnderTinySortBudget) {
-  // The whole pipeline must stay exact when every reducer spills.
-  Workflow wf = MakePaperQuery(PaperQuery::kQ5);
-  Table table = PaperUniformTable(2000, 33);
-  MeasureResultSet expected = EvaluateReference(wf, table);
-
-  ExecutionPlan plan;
-  plan.key = DeriveDistributionKeys(wf).query_key;
-  plan.clustering_factor = 8;
-  ParallelEvalOptions opts;
-  opts.num_mappers = 2;
-  opts.num_reducers = 3;
-  opts.num_threads = 2;
-  opts.reducer_memory_limit_pairs = 64;
-  Result<ParallelEvalResult> result =
-      EvaluateParallel(wf, table, plan, opts);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(result->metrics.spilled_runs, 0);
-  Status match = CompareResultSets(expected, result->results, 1e-9);
-  EXPECT_TRUE(match.ok()) << match.ToString();
-}
-
-
-TEST(MergeSortedRunsTest, MergeEqualsSortOfConcatenation) {
-  const int width = 2;
-  // Several pre-sorted runs of uneven sizes, plus an empty one.
-  std::vector<std::vector<int64_t>> runs;
-  std::vector<int64_t> all;
-  for (int64_t r = 0; r < 5; ++r) {
-    std::vector<int64_t> run = RandomRecords(37 + r * 53, width, 100 + r);
-    run = SortRecords(std::move(run), width, LexLess(width));
-    all.insert(all.end(), run.begin(), run.end());
-    runs.push_back(std::move(run));
-  }
-  runs.insert(runs.begin() + 2, {});
-
-  std::vector<int64_t> merged =
-      MergeSortedRuns(std::move(runs), width, LexLess(width));
-  std::vector<int64_t> expected = SortRecords(all, width, LexLess(width));
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(MergeSortedRunsTest, NoRunsAndSingleRun) {
-  EXPECT_TRUE(MergeSortedRuns({}, 3, LexLess(3)).empty());
-  std::vector<int64_t> run =
-      SortRecords(RandomRecords(20, 3, 5), 3, LexLess(3));
-  EXPECT_EQ(MergeSortedRuns({run}, 3, LexLess(3)), run);
-}
-
-TEST(ExternalSortTest, UnwritableSpillDirectoryFailsCleanly) {
-  std::vector<int64_t> records = RandomRecords(100, 2, 3);
-  ExternalSortOptions options;
-  options.memory_limit_records = 10;
-  options.temp_dir = "/nonexistent/casm/spill";
-  Result<std::vector<int64_t>> sorted =
-      ExternalSort(records, 2, LexLess(2), options, nullptr);
-  ASSERT_FALSE(sorted.ok());
-  EXPECT_EQ(sorted.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(SortRecords({}, 2, key_less).empty());
 }
 
 TEST(AppendRunTest, SecondRunStartsWhereFirstEnds) {
@@ -237,43 +80,61 @@ TEST(SpillFilePathTest, UniqueAcrossSequencesAndTaggedByProcess) {
   EXPECT_GT(a.size(), ("/tmp/casm_sort_" + pid + "__0.run").size());
 }
 
-TEST(ExternalSortTest, TruncatedSpillRunSurfacesStatusNotCrash) {
-  // Regression: a short read at merge time (torn run file) used to trip
-  // CASM_CHECK_EQ and abort the process; it must surface as a Status.
-  std::vector<int64_t> records = RandomRecords(500, 2, 11);
-  ExternalSortOptions options;
-  options.memory_limit_records = 50;
-  options.post_spill_hook = [](const std::vector<std::string>& run_paths) {
-    ASSERT_FALSE(run_paths.empty());
-    // Chop the shared spill file mid-record.
-    const std::string& path = run_paths.front();
-    const auto size = std::filesystem::file_size(path);
-    ASSERT_GT(size, 12u);
-    std::filesystem::resize_file(path, size - 12);
-  };
-  Result<std::vector<int64_t>> sorted =
-      ExternalSort(records, 2, LexLess(2), options, nullptr);
-  ASSERT_FALSE(sorted.ok());
-  EXPECT_EQ(sorted.status().code(), StatusCode::kInternal);
-  EXPECT_NE(sorted.status().message().find("truncated"), std::string::npos)
-      << sorted.status().ToString();
-}
-
-TEST(ExternalSortTest, EngineSurfacesSpillFailures) {
+TEST(EmitterSpillTest, UnwritableSpillDirectoryFailsTheRun) {
+  // Every map attempt spills into a directory that does not exist: the
+  // run must fail with a Status before any group reaches reduce_fn.
   MapReduceEngine engine(1);
   MapReduceSpec spec;
   spec.num_mappers = 1;
   spec.num_reducers = 1;
   spec.key_width = 1;
   spec.value_width = 1;
-  spec.reducer_memory_limit_pairs = 5;
+  spec.emitter_spill_threshold_bytes = 64;
   spec.spill_dir = "/nonexistent/casm/spill";
   spec.map_fn = [](int64_t begin, int64_t end, Emitter* emitter) {
     for (int64_t i = begin; i < end; ++i) emitter->Emit(&i, &i);
   };
-  spec.reduce_fn = [](int, const GroupView&) { FAIL() << "reduce ran"; };
+  bool reduced = false;
+  spec.reduce_fn = [&reduced](int, const GroupView&) { reduced = true; };
   Result<MapReduceMetrics> metrics = engine.Run(spec, 100);
-  EXPECT_FALSE(metrics.ok());
+  ASSERT_FALSE(metrics.ok());
+  EXPECT_NE(metrics.status().message().find("spill"), std::string::npos)
+      << metrics.status().ToString();
+  EXPECT_FALSE(reduced);
+}
+
+TEST(EmitterSpillTest, TruncatedSpillRunSurfacesStatusNotCrash) {
+  // A spill file torn on disk after the map task finished: replaying it
+  // at shuffle must return Internal instead of reading past the end.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("casm_truncated_spill_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  Emitter emitter(/*num_reducers=*/1, /*key_width=*/1, /*value_width=*/1);
+  emitter.ConfigureMemory(/*budget=*/nullptr, /*base_reserved_bytes=*/0,
+                          /*spill_threshold_bytes=*/256, dir.string());
+  for (int64_t i = 0; i < 200; ++i) emitter.Emit(&i, &i);
+  ASSERT_TRUE(emitter.FinalSpill().ok());
+  ASSERT_GT(emitter.spilled_runs(), 0);
+  std::vector<int64_t> replay;
+  ASSERT_TRUE(emitter.GatherReducer(0, &replay).ok());
+  ASSERT_EQ(replay.size(), 400u);
+
+  // Chop the spill file mid-record: the last run comes back short.
+  int truncated = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const auto size = std::filesystem::file_size(entry.path());
+    ASSERT_GT(size, 12u);
+    std::filesystem::resize_file(entry.path(), size - 12);
+    ++truncated;
+  }
+  ASSERT_GT(truncated, 0);
+  replay.clear();
+  Status gathered = emitter.GatherReducer(0, &replay);
+  ASSERT_FALSE(gathered.ok());
+  EXPECT_EQ(gathered.code(), StatusCode::kInternal) << gathered.ToString();
+  emitter.Clear();  // deletes the spill files
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

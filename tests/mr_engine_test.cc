@@ -108,11 +108,9 @@ TEST(EngineTest, SecondarySortOrdersValuesWithinGroup) {
 }
 
 TEST(EngineTest, SecondarySortHoldsWhenSpilledRunsAreMerged) {
-  // With map-side spilling and no reducer sort cap, the shuffle k-way
-  // merges the spilled runs instead of re-sorting the concatenation —
-  // which is only correct because runs are spilled in the job's full
-  // key+value order. A scrambled secondary order would expose a
-  // key-only spill sort.
+  // Map-side spills write runs unsorted; the reducer replays them and
+  // sorts once in the job's full key+value order. A scrambled secondary
+  // order would expose a replay that skipped the value order.
   MapReduceEngine engine(2);
   MapReduceSpec spec;
   spec.num_mappers = 4;
@@ -142,7 +140,7 @@ TEST(EngineTest, SecondarySortHoldsWhenSpilledRunsAreMerged) {
   };
   Result<MapReduceMetrics> metrics = engine.Run(spec, 500);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_GT(metrics->emitter_spilled_runs, 0);  // merge path engaged
+  EXPECT_GT(metrics->emitter_spilled_runs, 0);  // spilled runs replayed
   EXPECT_EQ(total_values, 500);
   EXPECT_TRUE(sorted);
 }

@@ -148,7 +148,8 @@ TEST(EmitterMemoryTest, SpillPastThresholdAndGatherEveryPair) {
   EXPECT_GT(emitter.spilled_runs(), 0);
   EXPECT_EQ(emitter.spilled_records(), kPairs);
   EXPECT_EQ(emitter.buffered_bytes(), 0);
-  // Replaying the spilled runs yields exactly the emitted multiset.
+  // Replaying the spilled runs yields exactly the emitted multiset, in
+  // emission order (values were emitted ascending).
   int64_t total = 0;
   std::map<int64_t, int64_t> value_counts;
   for (int r = 0; r < 4; ++r) {
@@ -158,6 +159,9 @@ TEST(EmitterMemoryTest, SpillPastThresholdAndGatherEveryPair) {
               emitter.PairsForReducer(r) * 2);
     for (size_t i = 0; i < records.size(); i += 2) {
       ++value_counts[records[i + 1]];
+      if (i > 0) {
+        EXPECT_LT(records[i - 1], records[i + 1]) << "reducer " << r;
+      }
     }
     total += emitter.PairsForReducer(r);
   }
